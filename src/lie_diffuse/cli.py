@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,6 +66,7 @@ class ConfigError(ValueError):
 _FIRST_ORDER = ("d0", "d+", "d-", "X1", "X2", "X3", "iX3")
 _DIFFUSION = ("laplace", "sublaplace")
 _WEIGHTS = ("bessel", "sbessel")
+_MANTISSA = re.compile(r"(\d+\.?\d*|\.\d+)[eE]")
 
 
 def _split_terms(expr: str) -> list[str]:
@@ -72,12 +74,13 @@ def _split_terms(expr: str) -> list[str]:
     if not s:
         raise ConfigError("empty operator expression")
     terms, cur = [], ""
-    for i, ch in enumerate(s):
+    for ch in s:
         if ch in "+-" and cur:
-            prev = s[i - 1]
-            if prev in "^*eE/":
-                cur += ch            # sign of an exponent or coefficient
-            elif prev == "d" and not cur.endswith(("d+", "d-")):
+            # the token being read: after the last operator, without its sign
+            token = re.split(r"[*/^]", cur)[-1].lstrip("+-")
+            if cur[-1] in "^*/" or _MANTISSA.fullmatch(token):
+                cur += ch            # sign of an exponent, coefficient or 1e-3
+            elif token == "d":
                 cur += ch            # the ladder bases d+ / d-
             else:
                 terms.append(cur)

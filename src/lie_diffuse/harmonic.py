@@ -388,8 +388,21 @@ def field_from_dict(data: dict) -> SpectralField:
 
 
 def save_field(path, F: SpectralField):
+    """Write F as compact JSON with sorted keys.
+
+    Blocks are encoded one at a time with json.dumps: it takes the C encoder,
+    where json.dump always encodes in Python, and one block at a time keeps
+    the encoder's memory to one block rather than the whole field.
+    """
+    fmt = {"sort_keys": True, "separators": (",", ":")}
+    data = field_to_dict(F)
+    coeffs = data.pop("coeffs")
+    head, tail = json.dumps({"coeffs": [], **data}, **fmt).split("[]", 1)
     with open(path, "w") as fh:
-        json.dump(field_to_dict(F), fh, sort_keys=True, separators=(",", ":"))
+        fh.write(head + "[")
+        for i, entry in enumerate(coeffs):
+            fh.write(("," if i else "") + json.dumps(entry, **fmt))
+        fh.write("]" + tail)
 
 
 def load_field(path) -> SpectralField:

@@ -20,17 +20,26 @@ multiple of a positive semidefinite base); otherwise it is "scan-limited".
 A failure witness is always conclusive.  The witness reported on failure is
 the first violating sample in scan order (lowest degree first), which names
 the lowest frequency where the inequality breaks.
+
+Each (representation, time) slice of a scan is evaluated at all sampled
+x-nodes in one batch: the symbol matrices are stacked, their Hermitian parts
+taken together, and the smallest eigenvalues read off the diagonal or from
+one batched eigvalsh.  Scan order (representation, then time, then x-node)
+and the witness rules are those of a sample-by-sample loop: the witness of
+the minimum is its first occurrence, the failure witness the first sample
+below -tol.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .harmonic import SU2, TORUS1, RepIndex, dual_enumerate
-from .symbol import Symbol, bessel_weight
+from .symbol import Symbol, _base_matrix, bessel_weight
 
 _PSD_BASES = ("laplace", "sublaplace", "bessel", "sbessel", "id")
 _DRIFT_BASES = ("iX3", "d0")
@@ -38,8 +47,8 @@ _SKEW_BASES = ("X1", "X2", "X3")
 
 
 def hermitian_part(M: np.ndarray) -> np.ndarray:
-    """(M + M^*) / 2."""
-    return 0.5 * (M + np.asarray(M).conj().T)
+    """(M + M^*) / 2, for one matrix or a stack of them."""
+    return 0.5 * (M + np.swapaxes(np.asarray(M).conj(), -1, -2))
 
 
 @dataclass
@@ -91,23 +100,6 @@ class EllipticityReport:
                                "C": self.excluded_constant,
                                "min_weight": self.min_weight}
         return out
-
-
-def _time_grid(sym: Symbol, T: float, n: int) -> list[float]:
-    if sym.t_independent:
-        return [0.0]
-    if n == 1:
-        return [0.0]
-    # Chebyshev-Lobatto points on [0, T], endpoints included
-    return [0.5 * T * (1.0 - math.cos(math.pi * i / (n - 1))) for i in range(n)]
-
-
-def _x_nodes(sym: Symbol, max_x_samples: int) -> list:
-    if sym.x_independent:
-        return [None]
-    n = sym.base_grid.node_count
-    stride = max(1, -(-n // max_x_samples))
-    return list(range(0, n, stride))
 
 
 def _coef_range(term, times, sym, i):
@@ -188,13 +180,6 @@ def _structural_tail(sym: Symbol, times: list[float]):
     return ("extend", int(math.ceil(2.0 * ell_dom)) + 2)
 
 
-def _min_eig(H: np.ndarray) -> float:
-    off = H - np.diag(np.diagonal(H))
-    if not np.any(off):
-        return float(np.real(np.diagonal(H)).min()) if H.size else 0.0
-    return float(np.linalg.eigvalsh(H).min())
-
-
 def _herm_diagonal_everywhere(sym: Symbol) -> bool:
     probe = RepIndex(SU2, two_ell=2) if sym.group == SU2 else RepIndex(TORUS1, k=1)
     try:
@@ -203,6 +188,101 @@ def _herm_diagonal_everywhere(sym: Symbol) -> bool:
         return False
     H = hermitian_part(M)
     return not np.any(H - np.diag(np.diagonal(H)))
+
+
+def _scan_grid(sym: Symbol, T: float, time_samples: int,
+               scan_two_L: int | None, max_x_samples: int):
+    """Time samples, x-nodes and scan depth shared by both scans.
+
+    Times are Chebyshev-Lobatto points on [0, T] (endpoints included), the
+    x-nodes every stride-th base-grid node, and the default depth is
+    two_ell <= 2 two_L for x-dependent symbols, else 100 for diagonal
+    Hermitian parts and 40 otherwise.
+    """
+    if sym.t_independent or time_samples == 1:
+        times = [0.0]
+    else:
+        n = time_samples
+        times = [0.5 * T * (1.0 - math.cos(math.pi * i / (n - 1)))
+                 for i in range(n)]
+    if sym.x_independent:
+        nodes = [None]
+    else:
+        n = sym.base_grid.node_count
+        nodes = list(range(0, n, max(1, -(-n // max_x_samples))))
+    if scan_two_L is None:
+        if not sym.x_independent:
+            scan_two_L = 2 * sym.two_L
+        else:
+            scan_two_L = 100 if _herm_diagonal_everywhere(sym) else 40
+    return times, nodes, scan_two_L
+
+
+def _term_coefficients(sym: Symbol, times: list[float], nodes: list) -> list:
+    """Per time, each term's coefficient: a scalar, or an (n_x, 1, 1) column
+    over the x-nodes for terms with a spatial factor.
+
+    The products are taken one node at a time in the evaluator's order
+    (const * profile(t) * space(x)); numpy's vectorised complex product may
+    round differently.
+    """
+    rows = []
+    for t in times:
+        row = []
+        for i, term in enumerate(sym.terms):
+            c = term.const
+            if term.profile is not None:
+                c = c * term.profile(t)
+            if term.space is not None:
+                s = sym.space_samples(i, sym.base_grid)
+                c = np.array([c * s[node] for node in nodes])[:, None, None]
+            row.append(c)
+        rows.append(row)
+    return rows
+
+
+def _min_eigs(H: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian matrix in an (n, d, d) stack.
+
+    Diagonal matrices are read off their diagonal; the rest go through one
+    batched eigvalsh.
+    """
+    idx = np.arange(H.shape[-1])
+    diag = H[:, idx, idx]
+    off = H.copy()
+    off[:, idx, idx] -= diag     # NaN stays NaN, keeping eigvalsh's error
+    eigs = np.real(diag).min(axis=1)
+    dense = np.flatnonzero(off.reshape(len(H), -1).any(axis=1))
+    if dense.size:
+        eigs[dense] = np.linalg.eigvalsh(H[dense]).min(axis=1)
+    return eigs
+
+
+def _scan(sym: Symbol, times: list[float], nodes: list, scan_two_L: int,
+          weight: Callable[[RepIndex], np.ndarray] | None = None):
+    """Yield (rep, t, eigs) for every (representation, time) slice in scan
+    order, eigs holding the smallest eigenvalue of -Herm(sigma(t, x, rep))
+    at each x-node (of W (-Herm sigma) W with W = weight(rep) when given).
+
+    Structured symbols are assembled from their terms with the evaluator's
+    operation order, so every matrix entry is bit-identical to what
+    sym.evaluator returns; bare evaluators are called once per node.
+    """
+    coefs = None if sym.terms is None else _term_coefficients(sym, times, nodes)
+    for rep in dual_enumerate(sym.group, scan_two_L):
+        W = None if weight is None else weight(rep)
+        for k, t in enumerate(times):
+            if coefs is None:
+                M = np.stack([np.asarray(sym.evaluator(t, node, rep))
+                              for node in nodes])
+            else:
+                M = np.zeros((len(nodes), rep.dim, rep.dim), dtype=complex)
+                for c, term in zip(coefs[k], sym.terms):
+                    M += c * _base_matrix(term.base, term.exponent, rep)
+            H = -hermitian_part(M)
+            if W is not None:
+                H = W @ H @ W
+            yield rep, t, _min_eigs(H)
 
 
 def positivity_check(sym: Symbol, T: float = 1.0, time_samples: int = 17,
@@ -216,13 +296,8 @@ def positivity_check(sym: Symbol, T: float = 1.0, time_samples: int = 17,
     diagonal Hermitian parts (40 otherwise) and is extended automatically
     when the structural tail analysis asks for more.
     """
-    times = _time_grid(sym, T, time_samples)
-    nodes = _x_nodes(sym, max_x_samples)
-    if scan_two_L is None:
-        if not sym.x_independent:
-            scan_two_L = 2 * sym.two_L
-        else:
-            scan_two_L = 100 if _herm_diagonal_everywhere(sym) else 40
+    times, nodes, scan_two_L = _scan_grid(sym, T, time_samples, scan_two_L,
+                                          max_x_samples)
     tail_kind, needed = _structural_tail(sym, times)
     if tail_kind == "extend":
         scan_two_L = max(scan_two_L, needed)
@@ -230,16 +305,16 @@ def positivity_check(sym: Symbol, T: float = 1.0, time_samples: int = 17,
     best = math.inf
     best_w = None
     first_fail = None
-    for rep in dual_enumerate(sym.group, scan_two_L):
-        for t in times:
-            for node in nodes:
-                H = -hermitian_part(sym.evaluator(t, node, rep))
-                eig = _min_eig(H)
-                if eig < best:
-                    best = eig
-                    best_w = Witness(t, node, rep, eig)
-                if eig < -tol and first_fail is None:
-                    first_fail = Witness(t, node, rep, eig)
+    for rep, t, eigs in _scan(sym, times, nodes, scan_two_L):
+        i = int(np.argmin(eigs))
+        if eigs[i] < best:
+            best = float(eigs[i])
+            best_w = Witness(t, nodes[i], rep, best)
+        if first_fail is None:
+            bad = np.flatnonzero(eigs < -tol)
+            if bad.size:
+                i = int(bad[0])
+                first_fail = Witness(t, nodes[i], rep, float(eigs[i]))
     scanned = {"scan_two_L": scan_two_L, "time_samples": len(times),
                "x_samples": len(nodes)}
     if first_fail is not None:
@@ -267,31 +342,22 @@ def strong_ellipticity_constant(sym: Symbol, T: float = 1.0,
     reported alongside, since the strict bound degenerates whenever the
     symbol vanishes on the trivial representation.
     """
-    times = _time_grid(sym, T, time_samples)
-    nodes = _x_nodes(sym, max_x_samples)
-    if scan_two_L is None:
-        if not sym.x_independent:
-            scan_two_L = 2 * sym.two_L
-        else:
-            scan_two_L = 100 if _herm_diagonal_everywhere(sym) else 40
+    times, nodes, scan_two_L = _scan_grid(sym, T, time_samples, scan_two_L,
+                                          max_x_samples)
     m = sym.order
     best = math.inf
     best_w = None
     best_ex = math.inf
-    for rep in dual_enumerate(sym.group, scan_two_L):
-        Winvh = bessel_weight(rep, -m / 2.0, weight_kind)
+    for rep, t, eigs in _scan(sym, times, nodes, scan_two_L,
+                              lambda rep: bessel_weight(rep, -m / 2.0, weight_kind)):
         lam = rep.two_ell * (rep.two_ell + 2) / 4.0 if sym.group == SU2 \
             else float(rep.k ** 2)
-        included = (1.0 + lam) ** 0.5 >= min_weight
-        for t in times:
-            for node in nodes:
-                H = -hermitian_part(sym.evaluator(t, node, rep))
-                C = _min_eig(Winvh @ H @ Winvh)
-                if C < best:
-                    best = C
-                    best_w = Witness(t, node, rep, C)
-                if included and C < best_ex:
-                    best_ex = C
+        i = int(np.argmin(eigs))
+        if eigs[i] < best:
+            best = float(eigs[i])
+            best_w = Witness(t, nodes[i], rep, best)
+        if (1.0 + lam) ** 0.5 >= min_weight and eigs[i] < best_ex:
+            best_ex = float(eigs[i])
     scanned = {"scan_two_L": scan_two_L, "time_samples": len(times),
                "x_samples": len(nodes)}
     kind = "strongly_elliptic" if best > tol else "failed"

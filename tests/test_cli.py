@@ -46,6 +46,23 @@ def test_parse_ladder_bases():
     assert b.base == "d-" and b.const == -1.0
 
 
+def test_parse_splits_after_words_ending_in_e_or_d():
+    """The e of laplace is no exponent marker, the d of id no ladder base."""
+    a, b = parse_operator("-1*laplace + 1*iX3")
+    assert (a.base, a.const, b.base, b.const) == ("laplace", -1.0, "iX3", 1.0)
+    a, b = parse_operator("-1*sublaplace - 0.5*X1")
+    assert (a.base, a.const, b.base, b.const) == ("sublaplace", -1.0, "X1", -0.5)
+    a, b = parse_operator("1*id - 1*laplace")
+    assert (a.base, a.const, b.base, b.const) == ("id", 1.0, "laplace", -1.0)
+
+
+def test_parse_scientific_coefficients():
+    (t,) = parse_operator("1e-3*laplace")
+    assert t.const == 1e-3 and t.base == "laplace"
+    a, b = parse_operator("-2.5E+1*bessel^2 + .5e-1*d+")
+    assert (a.const, a.exponent, b.base, b.const) == (-25.0, 2.0, "d+", 0.05)
+
+
 def test_parse_rejects_bad_expressions():
     with pytest.raises(ConfigError, match="range"):
         parse_operator("laplace^-1")

@@ -19,6 +19,7 @@ from lie_diffuse.harmonic import (
     plancherel_norm,
     quadrature_grid,
     random_field,
+    save_field,
     spectral_inner,
     wigner_matrix,
 )
@@ -214,6 +215,16 @@ def test_json_roundtrip():
         assert G.group == F.group and G.two_L == F.two_L
         for r in F.coeffs:
             assert np.abs(F.coeffs[r] - G.coeffs[r]).max() < 1e-15
+
+
+def test_save_field_bytes_match_one_shot_encoding(tmp_path):
+    """Block-by-block writing gives the bytes of one json.dumps call."""
+    for group, L in ((SU2, 0), (SU2, 5), (TORUS1, 3)):
+        F = random_field(group, L, 21)
+        path = tmp_path / f"{group}{L}.json"
+        save_field(path, F)
+        assert path.read_text() == json.dumps(
+            field_to_dict(F), sort_keys=True, separators=(",", ":"))
 
 
 def test_field_arithmetic():

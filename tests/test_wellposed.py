@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lie_diffuse.harmonic import SU2, GridField, quadrature_grid
+from lie_diffuse.harmonic import (
+    SU2,
+    TORUS1,
+    GridField,
+    dual_enumerate,
+    fourier_inverse,
+    quadrature_grid,
+    random_field,
+)
 from lie_diffuse.symbol import OperatorSpec, OperatorTerm, Symbol, build_operator_symbol
 from lie_diffuse.wellposed import (
     classify_problem,
@@ -15,6 +24,8 @@ from lie_diffuse.wellposed import (
     strong_ellipticity_constant,
     su2_drift_criterion,
 )
+
+from oracles import positivity_per_sample, strong_ellipticity_per_sample
 
 
 def drift_symbol(a, a3, m=1.0, two_L=8):
@@ -255,3 +266,133 @@ def test_report_json_shape():
     cls = classify_problem(drift_symbol(-1.0, 1.0)).to_json_dict()
     assert cls["verdict"] == "CaseII"
     assert "positivity" in cls
+
+
+# ---------------------------------------------------------------- batched scan vs per-sample reference
+
+def real_coef(group, two_L, amp, seed=7):
+    """1 + amp * r(x) / max|r| for a deterministic random real field r."""
+    grid = quadrature_grid(group, two_L)
+    r = fourier_inverse(random_field(group, two_L, seed), grid).values.real
+    return GridField(grid, 1.0 + amp * r / np.abs(r).max())
+
+
+def varcoef_symbol(amp):
+    """-c(x) p(t) L^{1/2} + 0.2 iX3, the shape of the varcoef-cn benchmark."""
+    terms = [OperatorTerm("laplace", exponent=0.5, const=-1.0,
+                          space=real_coef(SU2, 2, amp),
+                          profile=lambda t: 1.0 + 0.5 * math.sin(3.0 * t)),
+             OperatorTerm("iX3", const=0.2)]
+    return build_operator_symbol(OperatorSpec(SU2, 2, terms))
+
+
+def dense_symbol(x_dependent):
+    """Non-Hermitian and non-diagonal: complex X1 coefficient plus d+ / d-.
+
+    Constant coefficients stay positive with the minimum off the trivial
+    representation; the x- and t-dependent X1 coefficient outgrows the
+    diffusion at high degree and fails.
+    """
+    space = real_coef(SU2, 2, 0.5) if x_dependent else None
+    profile = (lambda t: math.cos(t)) if x_dependent else None
+    terms = [OperatorTerm("laplace", exponent=0.5, const=-1.0),
+             OperatorTerm("id", const=-0.5),
+             OperatorTerm("X1", const=0.3 + (1.5j if x_dependent else 0.4j),
+                          space=space, profile=profile),
+             OperatorTerm("d+", const=0.2),
+             OperatorTerm("d-", const=-0.1j)]
+    return build_operator_symbol(OperatorSpec(SU2, 2, terms))
+
+
+def complex_space_symbol():
+    """Complex-valued spatial coefficient and complex constant, where the
+    order in which the coefficient products are rounded shows."""
+    terms = [OperatorTerm("laplace", exponent=0.5, const=-1.0),
+             OperatorTerm("id", const=-0.5),
+             OperatorTerm("X2", const=0.3 - 0.7j, space=random_field(SU2, 2, 3),
+                          profile=lambda t: 1.0 - t)]
+    return build_operator_symbol(OperatorSpec(SU2, 2, terms))
+
+
+def bare_symbol():
+    inner = dense_symbol(True)
+    return Symbol(evaluator=lambda t, x, rep: inner.evaluator(t, x, rep),
+                  order=inner.order, x_independent=False, t_independent=False,
+                  group=SU2, two_L=inner.two_L, base_grid=inner.base_grid)
+
+
+def torus_symbol():
+    terms = [OperatorTerm("laplace", exponent=0.5, const=-1.0 + 0.25j,
+                          space=real_coef(TORUS1, 8, 1.3),
+                          profile=lambda t: 1.0 + t),
+             OperatorTerm("id", const=-0.05)]
+    return build_operator_symbol(OperatorSpec(TORUS1, 8, terms))
+
+
+def subelliptic_symbol():
+    terms = [OperatorTerm("sublaplace", exponent=0.5, const=-1.0,
+                          space=real_coef(SU2, 2, 0.4)),
+             OperatorTerm("iX3", const=0.1)]
+    return build_operator_symbol(OperatorSpec(SU2, 2, terms, kappa=2))
+
+
+SCAN_CASES = {
+    "varcoef-0.3": (lambda: varcoef_symbol(0.3), "elliptic"),
+    "varcoef-1.2": (lambda: varcoef_symbol(1.2), "elliptic"),
+    "dense": (lambda: dense_symbol(False), "elliptic"),
+    "dense-x-t": (lambda: dense_symbol(True), "elliptic"),
+    "complex-space": (complex_space_symbol, "elliptic"),
+    "bare": (bare_symbol, "elliptic"),
+    "torus1": (torus_symbol, "elliptic"),
+    "subelliptic": (subelliptic_symbol, "subelliptic"),
+}
+
+
+def as_json(report):
+    return json.dumps(report.to_json_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_batched_scans_match_per_sample_reference(case):
+    make, weight_kind = SCAN_CASES[case]
+    sym = make()
+    assert as_json(positivity_check(sym)) == as_json(positivity_per_sample(sym))
+    assert as_json(strong_ellipticity_constant(sym, weight_kind=weight_kind)) \
+        == as_json(strong_ellipticity_per_sample(sym, weight_kind=weight_kind))
+
+
+def test_varcoef_scan_verdicts():
+    """Amplitude 0.3 keeps c(x) > 0 (CaseII); 1.2 makes it change sign."""
+    assert classify_problem(varcoef_symbol(0.3)).case == "CaseII"
+    report = positivity_check(varcoef_symbol(1.2))
+    assert report.kind == "failed"
+    assert report.witness.x_node is not None and report.witness.eig < 0.0
+
+
+def count_evaluator_calls(sym):
+    calls = []
+    inner = sym.evaluator
+
+    def counted(t, x, rep):
+        calls.append(1)
+        return inner(t, x, rep)
+
+    sym.evaluator = counted
+    return calls
+
+
+def test_structured_scan_makes_no_evaluator_calls():
+    sym = varcoef_symbol(0.3)
+    calls = count_evaluator_calls(sym)
+    positivity_check(sym)
+    strong_ellipticity_constant(sym)
+    assert len(calls) == 0
+
+
+def test_bare_scan_calls_evaluator_once_per_sample():
+    sym = bare_symbol()
+    calls = count_evaluator_calls(sym)
+    report = positivity_check(sym)
+    s = report.scanned
+    reps = len(dual_enumerate(SU2, s["scan_two_L"]))
+    assert len(calls) == reps * s["time_samples"] * s["x_samples"]
