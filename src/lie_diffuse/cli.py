@@ -95,10 +95,14 @@ def _parse_number(text: str, what: str) -> float:
     try:
         if "/" in text:
             num, den = text.split("/")
-            return float(num) / float(den)
-        return float(text)
+            value = float(num) / float(den)
+        else:
+            value = float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad {what} {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite {what} {text!r}")
+    return value
 
 
 def parse_operator(expr: str) -> list[OperatorTerm]:
@@ -280,13 +284,21 @@ def _build_symbol(cfg: RunConfig):
         raise ConfigError(str(exc)) from exc
 
 
+def _classify(sym, cfg: RunConfig):
+    """classify_problem; a symbol that overflows to inf is a config error."""
+    try:
+        return classify_problem(sym, T=cfg.T, weight_kind=cfg.weight_kind,
+                                time_samples=cfg.time_samples,
+                                scan_two_L=cfg.scan_two_L)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 # ---------------------------------------------------------------- commands
 
 def _cmd_check(cfg: RunConfig, out: Path, allow_unverified: bool) -> int:
     sym = _build_symbol(cfg)
-    cls = classify_problem(sym, T=cfg.T, weight_kind=cfg.weight_kind,
-                           time_samples=cfg.time_samples,
-                           scan_two_L=cfg.scan_two_L)
+    cls = _classify(sym, cfg)
     _write_json(out / "report.json", {
         "command": "check", "group": cfg.group, "two_L": cfg.two_L,
         "operator": cfg.operator, "classification": cls.to_json_dict()})
@@ -301,9 +313,7 @@ def _cmd_evolve(cfg: RunConfig, out: Path, allow_unverified: bool) -> int:
     forcing = None
     if cfg.forcing is not None:
         forcing = parse_field_spec(cfg.forcing, cfg.group, cfg.two_L, cfg.seed + 1)
-    cls = classify_problem(sym, T=cfg.T, weight_kind=cfg.weight_kind,
-                           time_samples=cfg.time_samples,
-                           scan_two_L=cfg.scan_two_L)
+    cls = _classify(sym, cfg)
     if not cls.verified and not allow_unverified:
         _write_json(out / "report.json", {
             "command": "evolve", "ran": False,

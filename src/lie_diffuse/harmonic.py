@@ -30,6 +30,14 @@ k = -L..L, 1x1 coefficient matrices, uniform quadrature.
 Quadrature is Gauss-Legendre in cos(theta) times uniform rules in phi and
 psi; a grid with bandlimit two_L integrates products of any two matrix
 coefficients with two_ell <= two_L exactly.
+
+On SU(2) both transforms are separable (Kostelec & Rockmore, "FFTs on the
+Rotation Group", JFAA 14, 2008).  The phi and psi stages are dense DFTs over
+all doubled indices -T..T, done as BLAS matrix products with the phase
+tables of the grid's plan.  The theta stage works one degree at a time: the
+indices of degree two_ell form one parity class with stride 2, so its block
+is the strided view [T - two_ell : T + two_ell + 1 : 2] on both index axes,
+weighted there with the Wigner little-d values at the theta nodes.
 """
 
 from __future__ import annotations
@@ -260,35 +268,35 @@ def _su2_forward(f: GridField, two_L: int) -> SpectralField:
     g = f.grid
     T = g._plan(g.two_L)
     A, B, C = g.n_phi, g.n_theta, g.n_psi
-    vals = f.values.reshape(A, B, C)
+    M = 2 * T + 1
     # phi stage, then psi stage, over all doubled indices -T..T
-    U = np.einsum("am,abc->mbc", np.conj(g._ephi), vals) / A
-    V = np.einsum("cn,mbc->mbn", np.conj(g._epsi), U) / C
+    U = np.conj(g._ephi).T @ f.values.reshape(A, B * C)
+    V = (U.reshape(M * B, C) @ np.conj(g._epsi)).reshape(M, B, M)
+    V *= g.w_theta[:, None] / (A * C)
     out = {}
     for rep in dual_enumerate(SU2, two_L):
         tl = rep.two_ell
-        sel = np.arange(T - tl, T + tl + 1, 2)
-        Vsel = V[np.ix_(sel, np.arange(B), sel)]
+        sl = slice(T - tl, T + tl + 1, 2)
         dst = g._dstacks[tl]
-        out[rep] = np.einsum("b,bmn,mbn->nm", g.w_theta, dst, Vsel)
+        out[rep] = (V[sl, :, sl] * dst.transpose(1, 0, 2)).sum(axis=1).T
     return SpectralField(SU2, two_L, out)
 
 
 def _su2_inverse(F: SpectralField, grid: GridSpec) -> GridField:
     T = grid._plan(max(grid.two_L, F.two_L))
-    B = grid.n_theta
+    A, B, C = grid.n_phi, grid.n_theta, grid.n_psi
     M = 2 * T + 1
     W = np.zeros((M, B, M), dtype=complex)
     for rep, mat in F.items():
         tl = rep.two_ell
         if not np.any(mat):
             continue
-        sel = np.arange(T - tl, T + tl + 1, 2)
+        sl = slice(T - tl, T + tl + 1, 2)
         dst = grid._dstacks[tl]
-        W[np.ix_(sel, np.arange(B), sel)] += (tl + 1) * np.einsum(
-            "bmn,nm->mbn", dst, mat)
-    Tarr = np.einsum("mbn,cn->mbc", W, grid._epsi)
-    vals = np.einsum("am,mbc->abc", grid._ephi, Tarr)
+        W[sl, :, sl] += (tl + 1) * (dst.transpose(1, 0, 2) * mat.T[:, None, :])
+    # psi stage, then phi stage
+    U = W.reshape(M * B, M) @ grid._epsi.T
+    vals = grid._ephi @ U.reshape(M, B * C)
     return GridField(grid, vals.ravel())
 
 

@@ -321,7 +321,10 @@ def invariant_apply(sym: Symbol, F: SpectralField, t: float = 0.0) -> SpectralFi
 
 
 def _grid_rep_matrices(grid: GridSpec, rep: RepIndex) -> np.ndarray:
-    """xi(x_n) for every node of an SU(2) grid, shape (N, d, d)."""
+    """xi(x_n) for every node of the grid, shape (N, d, d)."""
+    if grid.group == TORUS1:
+        T = grid._plan(max(grid.two_L, abs(rep.k)))
+        return grid._ephi[:, rep.k + T][:, None, None]
     T = grid._plan(max(grid.two_L, rep.two_ell))
     tl = rep.two_ell
     sel = np.arange(T - tl, T + tl + 1, 2)

@@ -250,7 +250,7 @@ def _min_eigs(H: np.ndarray) -> np.ndarray:
     idx = np.arange(H.shape[-1])
     diag = H[:, idx, idx]
     off = H.copy()
-    off[:, idx, idx] -= diag     # NaN stays NaN, keeping eigvalsh's error
+    off[:, idx, idx] -= diag     # entries are finite: _scan rejects the rest
     eigs = np.real(diag).min(axis=1)
     dense = np.flatnonzero(off.reshape(len(H), -1).any(axis=1))
     if dense.size:
@@ -266,7 +266,10 @@ def _scan(sym: Symbol, times: list[float], nodes: list, scan_two_L: int,
 
     Structured symbols are assembled from their terms with the evaluator's
     operation order, so every matrix entry is bit-identical to what
-    sym.evaluator returns; bare evaluators are called once per node.
+    sym.evaluator returns; bare evaluators are called once per node.  A slice
+    with a NaN or infinite entry raises ValueError naming its first such
+    x-node: eigvalsh would return NaN, which no tolerance test rejects, or
+    fail with a bare LAPACK error.
     """
     coefs = None if sym.terms is None else _term_coefficients(sym, times, nodes)
     for rep in dual_enumerate(sym.group, scan_two_L):
@@ -282,6 +285,10 @@ def _scan(sym: Symbol, times: list[float], nodes: list, scan_two_L: int,
             H = -hermitian_part(M)
             if W is not None:
                 H = W @ H @ W
+            if not np.isfinite(H).all():
+                i = int(np.argmin(np.isfinite(H).all(axis=(1, 2))))
+                raise ValueError(f"non-finite symbol at {rep}, t={t}, "
+                                 f"x_node={nodes[i]}")
             yield rep, t, _min_eigs(H)
 
 

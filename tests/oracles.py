@@ -3,7 +3,8 @@
 Everything here is built from textbook angular-momentum formulas, from
 finite differences of the group-level evaluator, or (for the well-posedness
 scans) from one symbol evaluation per sample, deliberately avoiding the
-library's own batched machinery.
+library's own batched machinery.  The SU(2) Fourier transforms are written
+here with einsum, as the reference for the library's matrix-product stages.
 """
 
 import math
@@ -11,7 +12,14 @@ import math
 import numpy as np
 
 import lie_diffuse.wellposed as wp
-from lie_diffuse.harmonic import SU2, RepIndex, dual_enumerate, wigner_matrix
+from lie_diffuse.harmonic import (
+    SU2,
+    GridField,
+    RepIndex,
+    SpectralField,
+    dual_enumerate,
+    wigner_matrix,
+)
 from lie_diffuse.symbol import bessel_weight
 
 
@@ -51,6 +59,41 @@ def lie_algebra_fd(two_ell):
     dX2 = _dirdiff(two_ell, lambda s: (0.0, s, 0.0))
     dX1 = dX2 @ dX3 - dX3 @ dX2
     return dX1, dX2, dX3
+
+
+# ---------------------------------------------------------------- transform reference
+
+def su2_forward_einsum(f, two_L):
+    """Reference for harmonic._su2_forward: phi, psi and theta stages as einsum."""
+    g = f.grid
+    T = g._plan(g.two_L)
+    A, B, C = g.n_phi, g.n_theta, g.n_psi
+    vals = f.values.reshape(A, B, C)
+    U = np.einsum("am,abc->mbc", np.conj(g._ephi), vals) / A
+    V = np.einsum("cn,mbc->mbn", np.conj(g._epsi), U) / C
+    out = {}
+    for rep in dual_enumerate(SU2, two_L):
+        tl = rep.two_ell
+        sel = np.arange(T - tl, T + tl + 1, 2)
+        Vsel = V[np.ix_(sel, np.arange(B), sel)]
+        out[rep] = np.einsum("b,bmn,mbn->nm", g.w_theta, g._dstacks[tl], Vsel)
+    return SpectralField(SU2, two_L, out)
+
+
+def su2_inverse_einsum(F, grid):
+    """Reference for harmonic._su2_inverse, in the same einsum form."""
+    T = grid._plan(max(grid.two_L, F.two_L))
+    B = grid.n_theta
+    M = 2 * T + 1
+    W = np.zeros((M, B, M), dtype=complex)
+    for rep, mat in F.items():
+        tl = rep.two_ell
+        sel = np.arange(T - tl, T + tl + 1, 2)
+        W[np.ix_(sel, np.arange(B), sel)] += (tl + 1) * np.einsum(
+            "bmn,nm->mbn", grid._dstacks[tl], mat)
+    Tarr = np.einsum("mbn,cn->mbc", W, grid._epsi)
+    vals = np.einsum("am,mbc->abc", grid._ephi, Tarr)
+    return GridField(grid, vals.ravel())
 
 
 # ---------------------------------------------------------------- scan reference

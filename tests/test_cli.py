@@ -253,3 +253,23 @@ def test_main_exit_codes(tmp_path):
                        two_L=4, u0="xi 1 0 0", dt=0.05)
     assert main(["--config", cfg, "--command", "evolve",
                  "--out", str(tmp_path / "m2")]) == 0
+
+
+@pytest.mark.parametrize("operator", ["-1e400*laplace", "-1*laplace + 1e400*iX3",
+                                      "nan*laplace", "-1*laplace^inf"])
+def test_non_finite_numbers_exit_2(tmp_path, operator, capsys):
+    with pytest.raises(ConfigError, match="non-finite"):
+        parse_operator(operator)
+    cfg = write_config(tmp_path, operator=operator, u0="delta", two_L=4)
+    assert main(["--config", cfg, "--command", "check",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_symbol_overflow_exits_2(tmp_path, capsys):
+    # finite numbers whose symbol overflows to inf at two_ell = 2
+    cfg = write_config(tmp_path, operator="-1e300*laplace^100", u0="delta", two_L=4)
+    for command in ("check", "evolve"):
+        assert main(["--config", cfg, "--command", command,
+                     "--out", str(tmp_path / command)]) == 2
+        assert "non-finite symbol" in capsys.readouterr().err

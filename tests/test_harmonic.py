@@ -8,6 +8,7 @@ from lie_diffuse.harmonic import (
     SU2,
     TORUS1,
     GridField,
+    GridSpec,
     RepIndex,
     SpectralField,
     dual_enumerate,
@@ -23,7 +24,7 @@ from lie_diffuse.harmonic import (
     spectral_inner,
     wigner_matrix,
 )
-from oracles import ladder
+from oracles import ladder, su2_forward_einsum, su2_inverse_einsum
 
 
 def coefficient_field(grid, two_ell, i, j):
@@ -163,6 +164,43 @@ def test_roundtrip_and_plancherel(group, L):
                    for r in F.coeffs)
         assert diff <= 1e-20 * sq
         assert abs(l2_inner(f, f).real - sq) <= 1e-10 * sq
+
+
+def _max_rel(got: SpectralField, want: SpectralField) -> float:
+    scale = max(np.abs(m).max() for m in want.coeffs.values())
+    return max(np.abs(got.coeffs[r] - want.coeffs[r]).max()
+               for r in want.coeffs) / scale
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 7, 14, 33])
+def test_su2_transforms_match_einsum_reference(L):
+    # a private grid, so that its plan starts at the grid's own bandlimit
+    g = GridSpec(SU2, L)
+    F = random_field(SU2, L, 40 + L)
+    f = fourier_inverse(F, g)
+    ref = su2_inverse_einsum(F, g)
+    assert np.abs(f.values - ref.values).max() <= 1e-13 * np.abs(ref.values).max()
+    for out_L in sorted({L, L // 2}):
+        assert _max_rel(fourier_forward(f, out_L), su2_forward_einsum(f, out_L)) <= 1e-13
+    # a field above the grid's bandlimit widens the plan past the grid
+    H = random_field(SU2, L + 3, 50 + L)
+    h = fourier_inverse(H, g)
+    ref = su2_inverse_einsum(H, g)
+    assert np.abs(h.values - ref.values).max() <= 1e-13 * np.abs(ref.values).max()
+    assert _max_rel(fourier_forward(h), su2_forward_einsum(h, L)) <= 1e-13
+
+
+def test_roundtrip_and_plancherel_two_L_64():
+    L = 64
+    g = GridSpec(SU2, L)
+    F = random_field(SU2, L, 64)
+    f = fourier_inverse(F, g)
+    F2 = fourier_forward(f)
+    sq = plancherel_norm(F)
+    diff = sum(np.sum(np.abs(F2.coeffs[r] - F.coeffs[r]) ** 2) * r.dim
+               for r in F.coeffs)
+    assert diff <= (1e-12) ** 2 * sq
+    assert abs(l2_inner(f, f).real - sq) <= 1e-12 * sq
 
 
 def test_spectral_inner_matches_l2():

@@ -241,6 +241,30 @@ def test_apply_spectral_structured_matches_bare_evaluator():
     assert worst < 1e-10
 
 
+def test_torus_bare_evaluator_matches_structured():
+    # c(x) * laplace on the circle through the quantization sum and the
+    # structured path; the bare one needs the circle's characters on the grid
+    coarse_L, spec_L = 2, 4
+    g = quadrature_grid(TORUS1, spec_L)
+    c_vals = 1.5 + fourier_inverse(random_field(TORUS1, coarse_L, 9), g).values.real
+    spec = OperatorSpec(TORUS1, spec_L, [
+        OperatorTerm("laplace", 1.0, const=-1.0, space=GridField(g, c_vals.astype(complex)))])
+    sym = build_operator_symbol(spec)
+    bare = Symbol(evaluator=sym.evaluator, order=sym.order,
+                  x_independent=False, group=TORUS1, two_L=spec_L,
+                  terms=None, base_grid=g)
+    F = random_field(TORUS1, coarse_L, 10)
+    got = apply_spectral(sym, 0.0, F)
+    ref = apply_spectral(bare, 0.0, F)
+    scale = max(np.abs(m).max() for m in got.coeffs.values())
+    assert max(np.abs(got.coeffs[r] - ref.coeffs[r]).max()
+               for r in got.coeffs) < 1e-12 * scale
+    f = fourier_inverse(F, g)
+    a = quantize_apply(sym, 0.0, f).values
+    b = quantize_apply(bare, 0.0, f).values
+    assert np.abs(a - b).max() < 1e-12 * np.abs(a).max()
+
+
 def test_averaged_matrix():
     g = quadrature_grid(SU2, 4)
     a_vals = fourier_inverse(random_field(SU2, 4, 12), g).values.real

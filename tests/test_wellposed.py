@@ -184,6 +184,47 @@ def test_positivity_bare_symbol_is_scan_limited():
     assert report.tail == "scan-limited"
 
 
+def _nan_first(d):
+    return np.diag([np.nan] + [-1.0] * (d - 1)).astype(complex)
+
+
+def _nan_diagonal(d):
+    return np.diag(np.full(d, np.nan)).astype(complex)
+
+
+def _minus_inf_entry(d):
+    M = -np.eye(d, dtype=complex)
+    M[0, -1] = -np.inf
+    return M
+
+
+@pytest.mark.parametrize("entries", [_nan_first, _nan_diagonal, _minus_inf_entry])
+def test_non_finite_symbol_is_a_named_error(entries):
+    # eigvalsh may return NaN for such input (NaN < -tol is False, which would
+    # read as "positive") or fail inside LAPACK
+    def evaluator(t, x, rep):
+        return entries(rep.dim) if rep.two_ell == 3 else -np.eye(rep.dim, dtype=complex)
+    sym = Symbol(evaluator=evaluator, order=0.0)
+    match = r"non-finite symbol at .*two_ell=3.*t=0\.0, x_node=None"
+    with pytest.raises(ValueError, match=match):
+        positivity_check(sym, scan_two_L=6)
+    with pytest.raises(ValueError, match=match):
+        strong_ellipticity_constant(sym, scan_two_L=6)
+    with pytest.raises(ValueError, match=match):
+        classify_problem(sym, scan_two_L=6)
+
+
+def test_non_finite_symbol_names_the_x_node():
+    base = quadrature_grid(SU2, 2)
+
+    def evaluator(t, x, rep):
+        return _nan_first(rep.dim) if x == 7 else -np.eye(rep.dim, dtype=complex)
+    sym = Symbol(evaluator=evaluator, order=0.0, x_independent=False,
+                 group=SU2, two_L=2, base_grid=base)
+    with pytest.raises(ValueError, match=r"two_ell=0.*x_node=7"):
+        positivity_check(sym)
+
+
 @given(c=st.floats(1e-3, 1e3))
 @settings(max_examples=25, deadline=None)
 def test_positivity_scale_covariant(c):
