@@ -364,6 +364,9 @@ def _reduce_reference(sys, dt: float):
         y0 = np.concatenate([V0.ravel().real, V0.ravel().imag])
         sol = solve_ivp(rhs, (0.0, sys.T), y0, rtol=1e-10, atol=1e-12,
                         dense_output=False)
+        if not sol.success:
+            raise SolverError(f"reference integration failed at {rep}: "
+                              f"{sol.message}", math.nan)
         out[rep] = (sol.y[:n, -1] + 1j * sol.y[n:, -1]).reshape(shape)
     return out
 
@@ -395,13 +398,13 @@ def _cmd_reduce(cfg: RunConfig, out: Path, allow_unverified: bool) -> int:
         raise ConfigError(str(exc)) from exc
     sys_ = reduce_to_first_order(prob)
     trajectory = solve_reduced(sys_, scheme=cfg.scheme, dt=cfg.dt)
-    u = extract_u(sys_, trajectory)
+    u_final = extract_u(sys_, trajectory[-1:])[0]
     reference = _reduce_reference(sys_, cfg.dt)
-    dev = 0.0
-    for rep, V in reference.items():
-        got = np.concatenate([F[rep] for F in trajectory[-1]], axis=0)
-        dev = max(dev, float(np.abs(got - V).max()))
-    final_l2 = math.sqrt(plancherel_norm(u[-1]))
+    # np.max, unlike max(), carries a NaN deviation through to a failed run
+    dev = float(np.max([
+        np.abs(np.concatenate([F[rep] for F in trajectory[-1]], axis=0) - V).max()
+        for rep, V in reference.items()]))
+    final_l2 = math.sqrt(plancherel_norm(u_final))
     passed = dev < 1e-4
     _write_json(out / "report.json", {
         "command": "reduce", "time_order": m, "scheme": cfg.scheme,

@@ -15,6 +15,11 @@ its symbol.  Three steppers are provided:
   x-dependent path runs a Richardson iteration preconditioned with the
   x-averaged symbol (tolerance 1e-12, fixed iteration cap).
 
+All three, and reduce.solve_reduced on its stacked companion blocks, share
+one stepping core: per-mode exact, CN and RK4 updates, one forcing resolver,
+and one driver (_integrate) that snaps dt, picks the "auto" scheme, caches
+t-independent propagators and substeps RK4 past its stability cap.
+
 Energy diagnostics follow the L^2 identity d/dt ||v||^2 = 2 Re(Kv, v)
 + 2 Re(f, v) via finite differences, and the energy estimate
 ||v(t)||^2 <= C ||u0||^2 + C' int ||f||^2 with fitted constants.
@@ -25,13 +30,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
 
 from .harmonic import (
     SpectralField,
-    dual_enumerate,
     plancherel_norm,
     spectral_inner,
 )
@@ -90,11 +95,7 @@ class EvolutionProblem:
                 raise ValueError("forcing and initial data bandlimit mismatch")
 
     def forcing_at(self, t: float) -> SpectralField | None:
-        if self.forcing is None:
-            return None
-        if isinstance(self.forcing, SpectralField):
-            return self.forcing
-        return self.forcing(t)
+        return _forcing_at(self.forcing, t)
 
 
 def _apply(sym: Symbol, t: float, F: SpectralField) -> SpectralField:
@@ -103,7 +104,26 @@ def _apply(sym: Symbol, t: float, F: SpectralField) -> SpectralField:
     return apply_spectral(sym, t, F)
 
 
-# ---------------------------------------------------------------- exact stepper
+def _mode_matrix(sym: Symbol, t: float, rep) -> np.ndarray:
+    """The generator block at rep; x-dependent symbols give their x-average."""
+    if sym.x_independent:
+        return np.asarray(sym.evaluator(t, None, rep))
+    return averaged_matrix(sym, t, rep)
+
+
+# ---------------------------------------------------------------- stepping core
+#
+# A mode is a coefficient block V with generator matrix A: d x d here, the
+# (m d) x d stack of a companion system in the reduce module.
+
+def _forcing_at(forcing, t: float):
+    """Forcing at time t: None, a constant (field or blocks), or a callable."""
+    return forcing(t) if callable(forcing) else forcing
+
+
+def _is_diagonal(A: np.ndarray) -> bool:
+    return not np.any(A - np.diag(np.diagonal(A)))
+
 
 def _phi1(w: np.ndarray) -> np.ndarray:
     """(e^w - 1)/w, stable for small and zero arguments."""
@@ -115,17 +135,13 @@ def _phi1(w: np.ndarray) -> np.ndarray:
     return np.where(small, series, out)
 
 
-def _exact_propagators(sym: Symbol, rep, t: float, dt: float):
-    """Return (P, Q) with v' = P v + Q f for one step of length dt."""
-    tm = t + 0.5 * dt
-    A = np.asarray(sym.evaluator(tm, None, rep))
-    d = A.shape[0]
-    off = A - np.diag(np.diagonal(A))
-    if not np.any(off):
+def _exact_propagators(A: np.ndarray, dt: float, expm=expm):
+    """Return (kind, P, Q) with v' = P v + Q f for one step of v' = A v + f:
+    elementwise for diagonal A, else from exp [[dt A, dt I], [0, 0]]."""
+    if _is_diagonal(A):
         a = np.diagonal(A)
-        P = np.exp(dt * a)
-        Q = dt * _phi1(dt * a)
-        return ("diag", P, Q)
+        return ("diag", np.exp(dt * a), dt * _phi1(dt * a))
+    d = A.shape[0]
     big = np.zeros((2 * d, 2 * d), dtype=complex)
     big[:d, :d] = dt * A
     big[:d, d:] = dt * np.eye(d)
@@ -133,31 +149,77 @@ def _exact_propagators(sym: Symbol, rep, t: float, dt: float):
     return ("dense", E[:d, :d], E[:d, d:])
 
 
+def _exact_update(propagators, V: np.ndarray, F) -> np.ndarray:
+    kind, P, Q = propagators
+    if kind == "diag":
+        new = P[:, None] * V
+        return new if F is None else new + Q[:, None] * F
+    new = P @ V
+    return new if F is None else new + Q @ F
+
+
+def _cn_update(A: np.ndarray, V: np.ndarray, F, dt: float) -> np.ndarray:
+    """Solve (I - dt/2 A) V' = (I + dt/2 A) V + dt F; diagonal A directly."""
+    rhs = V + (0.5 * dt) * (A @ V)
+    if F is not None:
+        rhs = rhs + dt * F
+    if _is_diagonal(A):
+        return rhs / (1.0 - 0.5 * dt * np.diagonal(A))[:, None]
+    return np.linalg.solve(np.eye(A.shape[0]) - 0.5 * dt * A, rhs)
+
+
+def _rk4(rhs, v, t: float, dt: float):
+    """Classical RK4 for any state with + and scalar *; rhs(t, v) = dv/dt."""
+    k1 = rhs(t, v)
+    k2 = rhs(t + 0.5 * dt, v + (0.5 * dt) * k1)
+    k3 = rhs(t + 0.5 * dt, v + (0.5 * dt) * k2)
+    k4 = rhs(t + dt, v + dt * k3)
+    return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _step_modes(scheme: str, state, matrix, forcing, t: float, dt: float,
+                propagators):
+    """One step of v' = A(t) v + f(t) for each mode of a SpectralField or a
+    dict of blocks (returned as the same type).  matrix(t, rep) gives A,
+    propagators(rep, t, dt) the exact (kind, P, Q) of the step from t."""
+    tm = t + 0.5 * dt
+    fm = _forcing_at(forcing, tm)
+    if scheme == "rk4":
+        fs = {t: _forcing_at(forcing, t), tm: fm, t + dt: _forcing_at(forcing, t + dt)}
+    out = {}
+    for rep, V in state.items():
+        Fm = None if fm is None else fm[rep]
+        if scheme == "exact":
+            out[rep] = _exact_update(propagators(rep, t, dt), V, Fm)
+        elif scheme == "cn":
+            out[rep] = _cn_update(matrix(tm, rep), V, Fm, dt)
+        else:
+            def rhs(tau, W, rep=rep):
+                f = fs[tau]
+                dW = matrix(tau, rep) @ W
+                return dW if f is None else dW + f[rep]
+            out[rep] = _rk4(rhs, V, t, dt)
+    if isinstance(state, SpectralField):
+        return SpectralField(state.group, state.two_L, out)
+    return out
+
+
+def _invariant_propagators(sym: Symbol):
+    """(rep, t, dt) -> exact propagators of sym frozen at the step midpoint."""
+    return lambda rep, t, dt: _exact_propagators(
+        _mode_matrix(sym, t + 0.5 * dt, rep), dt)
+
+
+# ---------------------------------------------------------------- steppers
+
 def step_exact_invariant(state: SpectralField, sym: Symbol, forcing=None,
                          t: float = 0.0, dt: float = 1e-2) -> SpectralField:
     """One exact per-mode exponential step; requires an x-independent symbol."""
     if not sym.x_independent:
         raise ValueError("exact stepper needs an x-independent symbol")
-    fmid = None
-    if forcing is not None:
-        fmid = forcing if isinstance(forcing, SpectralField) else forcing(t + 0.5 * dt)
-    out = state.zeros_like()
-    for rep, V in state.items():
-        kind, P, Q = _exact_propagators(sym, rep, t, dt)
-        Fm = fmid[rep] if fmid is not None else None
-        if kind == "diag":
-            new = P[:, None] * V
-            if Fm is not None:
-                new = new + Q[:, None] * Fm
-        else:
-            new = P @ V
-            if Fm is not None:
-                new = new + Q @ Fm
-        out.coeffs[rep] = new
-    return out
+    return _step_modes("exact", state, None, forcing, t, dt,
+                       _invariant_propagators(sym))
 
-
-# ---------------------------------------------------------------- RK4 stepper
 
 def step_rk4(state: SpectralField, sym: Symbol, forcing=None,
              t: float = 0.0, dt: float = 1e-2) -> SpectralField:
@@ -165,18 +227,11 @@ def step_rk4(state: SpectralField, sym: Symbol, forcing=None,
 
     def rhs(tau, F):
         out = _apply(sym, tau, F)
-        f = forcing if isinstance(forcing, SpectralField) else (
-            forcing(tau) if forcing is not None else None)
+        f = _forcing_at(forcing, tau)
         return out + f if f is not None else out
 
-    k1 = rhs(t, state)
-    k2 = rhs(t + 0.5 * dt, state + (0.5 * dt) * k1)
-    k3 = rhs(t + 0.5 * dt, state + (0.5 * dt) * k2)
-    k4 = rhs(t + dt, state + dt * k3)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _rk4(rhs, state, t, dt)
 
-
-# ---------------------------------------------------------------- CN stepper
 
 def step_crank_nicolson(state: SpectralField, sym: Symbol, forcing=None,
                         t: float = 0.0, dt: float = 1e-2,
@@ -187,25 +242,11 @@ def step_crank_nicolson(state: SpectralField, sym: Symbol, forcing=None,
     (I - dt/2 K) is inverted by Richardson iteration preconditioned with
     the x-averaged symbol; non-convergence raises SolverError.
     """
-    tm = t + 0.5 * dt
-    fmid = forcing if isinstance(forcing, SpectralField) else (
-        forcing(tm) if forcing is not None else None)
     if sym.x_independent:
-        out = state.zeros_like()
-        for rep, V in state.items():
-            A = np.asarray(sym.evaluator(tm, None, rep))
-            d = A.shape[0]
-            rhs = V + (0.5 * dt) * (A @ V)
-            if fmid is not None:
-                rhs = rhs + dt * fmid[rep]
-            off = A - np.diag(np.diagonal(A))
-            if not np.any(off):
-                denom = 1.0 - 0.5 * dt * np.diagonal(A)
-                out.coeffs[rep] = rhs / denom[:, None]
-            else:
-                out.coeffs[rep] = np.linalg.solve(np.eye(d) - 0.5 * dt * A, rhs)
-        return out
-
+        return _step_modes("cn", state, partial(_mode_matrix, sym), forcing,
+                           t, dt, None)
+    tm = t + 0.5 * dt
+    fmid = _forcing_at(forcing, tm)
     rhs = state + (0.5 * dt) * apply_spectral(sym, tm, state)
     if fmid is not None:
         rhs = rhs + dt * fmid
@@ -235,17 +276,62 @@ _STEPPERS = {"exact": step_exact_invariant, "rk4": step_rk4,
 RK4_STABILITY = 2.7
 
 
-def _spectral_radius_bound(sym: Symbol, two_L: int, T: float) -> float:
-    times = [0.0] if sym.t_independent else [0.0, 0.5 * T, T]
-    worst = 0.0
-    for rep in dual_enumerate(sym.group, two_L):
+def _rk4_substeps(matrix, reps, t_independent: bool, T: float, dt: float) -> int:
+    """Substeps keeping RK4 within RK4_STABILITY / max ||matrix(t, rep)||_2."""
+    times = [0.0] if t_independent else [0.0, 0.5 * T, T]
+    lam = 0.0
+    for rep in reps:
         for t in times:
-            if sym.x_independent:
-                A = np.asarray(sym.evaluator(t, None, rep))
-            else:
-                A = averaged_matrix(sym, t, rep)
-            worst = max(worst, float(np.linalg.norm(A, 2)))
-    return worst
+            lam = max(lam, float(np.linalg.norm(matrix(t, rep), 2)))
+    if lam > 0.0 and dt > RK4_STABILITY / lam:
+        substeps = int(math.ceil(dt * lam / RK4_STABILITY))
+        warnings.warn(
+            f"RK4 step {dt:.3g} exceeds the stability cap "
+            f"{RK4_STABILITY / lam:.3g}; substepping x{substeps}")
+        return substeps
+    return 1
+
+
+def _integrate(v0, T: float, dt: float, scheme: str, *, x_independent: bool,
+               t_independent: bool, forcing, matrix, propagators, step=None,
+               record=lambda v: v):
+    """Driver of evolve and reduce.solve_reduced; returns (scheme, dt,
+    [record(v0), record(v1), ...]).  dt snaps to at least two whole steps;
+    "auto" is exact for x- and t-independent generators, CN otherwise; exact
+    propagators are built once when nothing depends on t; RK4 substeps past
+    its cap.  step(scheme, v, t, h) defaults to _step_modes."""
+    if dt > T:
+        raise ValueError("dt exceeds the horizon")
+    n_steps = max(2, int(round(T / dt)))
+    dt = T / n_steps
+    if scheme == "auto":
+        scheme = "exact" if (x_independent and t_independent) else "cn"
+    if scheme not in _STEPPERS:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme == "exact" and not x_independent:
+        raise ValueError("exact stepper needs an x-independent symbol")
+
+    reps = [rep for rep, _ in v0.items()]
+    substeps = 1
+    if scheme == "rk4":
+        substeps = _rk4_substeps(matrix, reps, t_independent, T, dt)
+    if scheme == "exact" and t_independent and not callable(forcing):
+        cache = {rep: propagators(rep, 0.0, dt) for rep in reps}
+        # cached propagators are applied mode by mode for every caller
+        propagators, step = (lambda rep, t, h: cache[rep]), None
+    if step is None:
+        def step(scheme, v, t, h):
+            return _step_modes(scheme, v, matrix, forcing, t, h, propagators)
+
+    trajectory = [record(v0)]
+    v = v0
+    h = dt / substeps
+    for n in range(n_steps):
+        t = n * dt
+        for k in range(substeps):
+            v = step(scheme, v, t + k * h, h)
+        trajectory.append(record(v))
+    return scheme, dt, trajectory
 
 
 @dataclass
@@ -290,65 +376,16 @@ def evolve(problem: EvolutionProblem, scheme: str = "auto", dt: float = 1e-2,
     sym, u0 = problem.sym, problem.u0
     if sym.group != u0.group:
         raise ValueError("symbol and state group mismatch")
-    if dt > problem.T:
-        raise ValueError("dt exceeds the horizon")
-    n_steps = max(2, int(round(problem.T / dt)))
-    dt = problem.T / n_steps
-
-    if scheme == "auto":
-        scheme = "exact" if (sym.x_independent and sym.t_independent) else "cn"
-    if scheme not in _STEPPERS:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if scheme == "exact" and not sym.x_independent:
-        raise ValueError("exact stepper needs an x-independent symbol")
-
-    substeps = 1
-    if scheme == "rk4":
-        lam = _spectral_radius_bound(sym, u0.two_L, problem.T)
-        if lam > 0.0 and dt > RK4_STABILITY / lam:
-            substeps = int(math.ceil(dt * lam / RK4_STABILITY))
-            warnings.warn(
-                f"RK4 step {dt:.3g} exceeds the stability cap "
-                f"{RK4_STABILITY / lam:.3g}; substepping x{substeps}")
-
-    propagators = None
-    if scheme == "exact" and sym.t_independent \
-            and not callable(problem.forcing):
-        propagators = {rep: _exact_propagators(sym, rep, 0.0, dt)
-                       for rep in u0.coeffs}
-
-    stepper = _STEPPERS[scheme]
-    trajectory = [u0.copy()]
-    v = u0
-    for n in range(n_steps):
-        t = n * dt
-        if propagators is not None:
-            out = v.zeros_like()
-            for rep, V in v.items():
-                kind, P, Q = propagators[rep]
-                Fm = problem.forcing[rep] if problem.forcing is not None else None
-                if kind == "diag":
-                    new = P[:, None] * V
-                    if Fm is not None:
-                        new = new + Q[:, None] * Fm
-                else:
-                    new = P @ V
-                    if Fm is not None:
-                        new = new + Q @ Fm
-                out.coeffs[rep] = new
-            v = out
-        elif substeps > 1:
-            h = dt / substeps
-            for k in range(substeps):
-                v = stepper(v, sym, problem.forcing, t + k * h, h)
-        else:
-            v = stepper(v, sym, problem.forcing, t, dt)
-        trajectory.append(v)
+    scheme, dt, trajectory = _integrate(
+        u0.copy(), problem.T, dt, scheme, x_independent=sym.x_independent,
+        t_independent=sym.t_independent, forcing=problem.forcing,
+        matrix=partial(_mode_matrix, sym), propagators=_invariant_propagators(sym),
+        step=lambda scheme, v, t, h: _STEPPERS[scheme](v, sym, problem.forcing, t, h))
 
     if classification is None:
         classification = classify_problem(sym, T=problem.T)
 
-    times = [n * dt for n in range(n_steps + 1)]
+    times = [n * dt for n in range(len(trajectory))]
     l2 = [math.sqrt(plancherel_norm(w)) for w in trajectory]
     hs = [sobolev_norm(w, problem.s, problem.kind) for w in trajectory]
     gain = [sobolev_norm(w, problem.s + 0.5 * sym.order, problem.kind)

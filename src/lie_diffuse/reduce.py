@@ -15,21 +15,28 @@ with Gamma on the superdiagonal of B and last-row blocks
 b_i = a_{m-i+1} Gamma^{i-m}, all of order one, so the system is genuinely
 first order in time and first order in frequency.
 
-Per representation the blocks are plain matrices, so the system is stepped
-with the same exact-exponential / Crank-Nicolson / RK4 formulas as the
-scalar evolution module, acting on stacked (m d) x d coefficient blocks.
+Per representation the blocks are plain matrices, so the stacked (m d) x d
+coefficient blocks go through the evolve module's stepping code: the same
+exact-exponential / Crank-Nicolson / RK4 updates and the same driver, RK4
+substepping included.  Only the companion propagators are built here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
 
 from .harmonic import SpectralField
 from .symbol import Symbol, bessel_weight
-from .evolve import weighted_field
+from .evolve import (
+    _exact_propagators,
+    _forcing_at,
+    _integrate,
+    weighted_field,
+)
 
 
 @dataclass
@@ -53,11 +60,23 @@ class HigherOrderProblem:
             raise ValueError(f"need {self.m} coefficient slots, got {len(self.coeffs)}")
         if len(self.data) != self.m:
             raise ValueError(f"need {self.m} data fields, got {len(self.data)}")
+        if self.T <= 0.0:
+            raise ValueError("horizon T must be positive")
+        group, two_L = self.data[0].group, self.data[0].two_L
+        for g in self.data:
+            if g.group != group or g.two_L != two_L:
+                raise ValueError("data fields disagree on group or bandlimit")
+        if isinstance(self.forcing, SpectralField) and (
+                self.forcing.group != group or self.forcing.two_L != two_L):
+            raise ValueError("forcing and data disagree on group or bandlimit")
         for i, sym in enumerate(self.coeffs, start=1):
             if sym is None:
                 continue
             if not isinstance(sym, Symbol):
                 raise ValueError(f"coefficient a_{i} is not a symbol")
+            if sym.group != group:
+                raise ValueError(f"coefficient a_{i} is on {sym.group}, "
+                                 f"the data on {group}")
             if sym.order > i + 1e-12:
                 raise ValueError(
                     f"coefficient a_{i} declares order {sym.order}, "
@@ -100,20 +119,13 @@ class FirstOrderSystem:
         return B
 
     def forcing_at(self, t: float):
-        if self.forcing is None:
-            return None
-        if isinstance(self.forcing, SpectralField):
-            return self.forcing
-        return self.forcing(t)
+        return _forcing_at(self.forcing, t)
 
 
 def reduce_to_first_order(p: HigherOrderProblem,
                           gamma_kind: str = "elliptic") -> FirstOrderSystem:
     """Build the companion system, with u_j(0) = Gamma^{m-j} g_j."""
     group, two_L = p.data[0].group, p.data[0].two_L
-    for g in p.data:
-        if g.group != group or g.two_L != two_L:
-            raise ValueError("data fields disagree on group or bandlimit")
     initial = [weighted_field(g, float(p.m - j), gamma_kind)
                for j, g in enumerate(p.data, start=1)]
     t_indep = all(s is None or s.t_independent for s in p.coeffs)
@@ -121,14 +133,26 @@ def reduce_to_first_order(p: HigherOrderProblem,
                             p.forcing, p.T, gamma_kind, t_indep)
 
 
-def _stack(sys: FirstOrderSystem, fields, rep) -> np.ndarray:
-    return np.concatenate([F[rep] for F in fields], axis=0)
+def _last_slot(sys: FirstOrderSystem, f):
+    """The stacked forcing (0, ..., 0, f) as per-representation blocks; a
+    callable f gives a callable, None stays None."""
+    if f is None:
+        return None
+    if callable(f):
+        return lambda t: _last_slot(sys, f(t))
+    out = {}
+    for rep, mat in f.items():
+        d = rep.dim
+        F = np.zeros((sys.m * d, d), dtype=complex)
+        F[(sys.m - 1) * d:] = mat
+        out[rep] = F
+    return out
 
 
-def _unstack(sys: FirstOrderSystem, V: np.ndarray, rep, out_fields):
-    d = rep.dim
-    for j in range(sys.m):
-        out_fields[j].coeffs[rep] = V[j * d:(j + 1) * d]
+def _exact_block(sys: FirstOrderSystem, rep, t: float, dt: float):
+    """Exact propagators of the companion block frozen at the step midpoint."""
+    # this module's expm, which perfbench's tracer counts as reduce.expm
+    return _exact_propagators(sys.block_matrix(t + 0.5 * dt, rep), dt, expm)
 
 
 def solve_reduced(sys: FirstOrderSystem, scheme: str = "auto",
@@ -136,89 +160,24 @@ def solve_reduced(sys: FirstOrderSystem, scheme: str = "auto",
     """Integrate the companion system; returns the stacked trajectory.
 
     Each trajectory entry is a list of m SpectralFields (u_1..u_m).  The
-    exact scheme uses the per-representation block exponential (midpoint
-    freezing when coefficients depend on t); cn and rk4 mirror the scalar
-    steppers on the stacked blocks.
+    stacked (m d) x d blocks go through the evolve module's stepping core
+    and driver: the same dt snapping, scheme choice, per-mode exact /
+    Crank-Nicolson / RK4 updates, propagator caching and RK4 substepping.
     """
-    if scheme == "auto":
-        scheme = "exact" if sys.t_independent else "cn"
-    if scheme not in ("exact", "cn", "rk4"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if dt > sys.T:
-        raise ValueError("dt exceeds the horizon")
-    n_steps = max(2, int(round(sys.T / dt)))
-    dt = sys.T / n_steps
 
-    m = sys.m
-    reps = list(sys.initial[0].coeffs)
-    state = {rep: _stack(sys, sys.initial, rep) for rep in reps}
+    def snapshot(state):
+        return [SpectralField(sys.group, sys.two_L, {
+            rep: V[j * rep.dim:(j + 1) * rep.dim] for rep, V in state.items()})
+            for j in range(sys.m)]
 
-    const_force = sys.forcing is None or isinstance(sys.forcing, SpectralField)
-    cache = {}
-    if scheme == "exact" and sys.t_independent and const_force:
-        for rep in reps:
-            cache[rep] = _exact_block(sys, rep, 0.0, dt)
-
-    def forcing_block(t, rep):
-        f = sys.forcing_at(t)
-        if f is None:
-            return None
-        d = rep.dim
-        F = np.zeros((m * d, d), dtype=complex)
-        F[(m - 1) * d:] = f[rep]
-        return F
-
-    def snapshot():
-        fields = [SpectralField.zeros(sys.group, sys.two_L) for _ in range(m)]
-        for rep in reps:
-            _unstack(sys, state[rep], rep, fields)
-        return fields
-
-    trajectory = [snapshot()]
-    for n in range(n_steps):
-        t = n * dt
-        for rep in reps:
-            V = state[rep]
-            if scheme == "exact":
-                P, Q = cache.get(rep) or _exact_block(sys, rep, t, dt)
-                Fm = forcing_block(t + 0.5 * dt, rep)
-                V = P @ V if Fm is None else P @ V + Q @ Fm
-            elif scheme == "cn":
-                tm = t + 0.5 * dt
-                B = sys.block_matrix(tm, rep)
-                rhs = V + (0.5 * dt) * (B @ V)
-                Fm = forcing_block(tm, rep)
-                if Fm is not None:
-                    rhs = rhs + dt * Fm
-                V = np.linalg.solve(np.eye(B.shape[0]) - 0.5 * dt * B, rhs)
-            else:
-                V = _rk4_block(sys, rep, V, t, dt, forcing_block)
-            state[rep] = V
-        trajectory.append(snapshot())
+    state = {rep: np.concatenate([F[rep] for F in sys.initial], axis=0)
+             for rep in sys.initial[0].coeffs}
+    _, _, trajectory = _integrate(
+        state, sys.T, dt, scheme, x_independent=True,
+        t_independent=sys.t_independent, forcing=_last_slot(sys, sys.forcing),
+        matrix=sys.block_matrix,
+        propagators=partial(_exact_block, sys), record=snapshot)
     return trajectory
-
-
-def _exact_block(sys, rep, t, dt):
-    B = sys.block_matrix(t + 0.5 * dt, rep)
-    n = B.shape[0]
-    big = np.zeros((2 * n, 2 * n), dtype=complex)
-    big[:n, :n] = dt * B
-    big[:n, n:] = dt * np.eye(n)
-    E = expm(big)
-    return E[:n, :n], E[:n, n:]
-
-
-def _rk4_block(sys, rep, V, t, dt, forcing_block):
-    def rhs(tau, W):
-        out = sys.block_matrix(tau, rep) @ W
-        F = forcing_block(tau, rep)
-        return out + F if F is not None else out
-
-    k1 = rhs(t, V)
-    k2 = rhs(t + 0.5 * dt, V + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, V + 0.5 * dt * k2)
-    k4 = rhs(t + dt, V + dt * k3)
-    return V + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def extract_u(sys: FirstOrderSystem, trajectory):

@@ -5,11 +5,14 @@ finite differences of the group-level evaluator, or (for the well-posedness
 scans) from one symbol evaluation per sample, deliberately avoiding the
 library's own batched machinery.  The SU(2) Fourier transforms are written
 here with einsum, as the reference for the library's matrix-product stages.
+The time-stepping references are the per-scheme loops that evolve() and
+solve_reduced ran before both shared the evolve module's stepping core.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
 import lie_diffuse.wellposed as wp
 from lie_diffuse.harmonic import (
@@ -196,3 +199,148 @@ def strong_ellipticity_per_sample(sym, T=1.0, time_samples=17, scan_two_L=None,
     return wp.EllipticityReport(kind, best, best_w, scanned, tail="scan-limited",
                                 excluded_constant=best_ex, excluded_kind=ex_kind,
                                 min_weight=min_weight)
+
+
+# ---------------------------------------------------------------- stepping reference
+#
+# evolve() on the exact scheme and solve_reduced under every scheme, as
+# separate loops with their own propagators.  The library's shared stepping
+# core does the same floating-point operations in the same order, so its
+# trajectories must match these bit for bit.
+
+def _phi1(w):
+    w = np.asarray(w, dtype=complex)
+    small = np.abs(w) < 1e-8
+    safe = np.where(small, 1.0, w)
+    out = (np.exp(safe) - 1.0) / safe
+    series = 1.0 + w / 2.0 + w * w / 6.0
+    return np.where(small, series, out)
+
+
+def _propagators(A, dt):
+    """(kind, P, Q) of one exact step of v' = A v + f."""
+    d = A.shape[0]
+    off = A - np.diag(np.diagonal(A))
+    if not np.any(off):
+        a = np.diagonal(A)
+        return ("diag", np.exp(dt * a), dt * _phi1(dt * a))
+    big = np.zeros((2 * d, 2 * d), dtype=complex)
+    big[:d, :d] = dt * A
+    big[:d, d:] = dt * np.eye(d)
+    E = expm(big)
+    return ("dense", E[:d, :d], E[:d, d:])
+
+
+def _steps(T, dt):
+    n_steps = max(2, int(round(T / dt)))
+    return n_steps, T / n_steps
+
+
+def evolve_exact_loop(problem, dt):
+    """Reference trajectory of evolve(problem, scheme="exact", dt=dt):
+    propagators built once when the symbol and forcing are t-independent,
+    otherwise per step at the step midpoint."""
+    sym, forcing = problem.sym, problem.forcing
+    n_steps, dt = _steps(problem.T, dt)
+    cached = sym.t_independent and not callable(forcing)
+    if cached:
+        props = {rep: _propagators(np.asarray(sym.evaluator(0.5 * dt, None, rep)), dt)
+                 for rep in problem.u0.coeffs}
+    trajectory = [problem.u0.copy()]
+    v = problem.u0
+    for n in range(n_steps):
+        t = n * dt
+        f = forcing(t + 0.5 * dt) if callable(forcing) else forcing
+        out = v.zeros_like()
+        for rep, V in v.items():
+            kind, P, Q = props[rep] if cached else _propagators(
+                np.asarray(sym.evaluator(t + 0.5 * dt, None, rep)), dt)
+            Fm = f[rep] if f is not None else None
+            if kind == "diag":
+                new = P[:, None] * V
+                if Fm is not None:
+                    new = new + Q[:, None] * Fm
+            else:
+                new = P @ V
+                if Fm is not None:
+                    new = new + Q @ Fm
+            out.coeffs[rep] = new
+        v = out
+        trajectory.append(v)
+    return trajectory
+
+
+def solve_reduced_loop(sys, scheme, dt):
+    """Reference for solve_reduced: each stacked (m d) x d block stepped on
+    its own by the exact, Crank-Nicolson or RK4 formula (no substepping)."""
+    n_steps, dt = _steps(sys.T, dt)
+    m = sys.m
+    reps = list(sys.initial[0].coeffs)
+    state = {rep: np.concatenate([F[rep] for F in sys.initial], axis=0)
+             for rep in reps}
+
+    def exact_block(rep, t):
+        B = sys.block_matrix(t + 0.5 * dt, rep)
+        n = B.shape[0]
+        big = np.zeros((2 * n, 2 * n), dtype=complex)
+        big[:n, :n] = dt * B
+        big[:n, n:] = dt * np.eye(n)
+        E = expm(big)
+        return E[:n, :n], E[:n, n:]
+
+    const_force = not callable(sys.forcing)
+    cache = {}
+    if scheme == "exact" and sys.t_independent and const_force:
+        cache = {rep: exact_block(rep, 0.0) for rep in reps}
+
+    def forcing_block(t, rep):
+        f = sys.forcing_at(t)
+        if f is None:
+            return None
+        d = rep.dim
+        F = np.zeros((m * d, d), dtype=complex)
+        F[(m - 1) * d:] = f[rep]
+        return F
+
+    def rk4_block(rep, V, t):
+        def rhs(tau, W):
+            out = sys.block_matrix(tau, rep) @ W
+            F = forcing_block(tau, rep)
+            return out + F if F is not None else out
+
+        k1 = rhs(t, V)
+        k2 = rhs(t + 0.5 * dt, V + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, V + 0.5 * dt * k2)
+        k4 = rhs(t + dt, V + dt * k3)
+        return V + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def snapshot():
+        fields = [SpectralField.zeros(sys.group, sys.two_L) for _ in range(m)]
+        for rep in reps:
+            d = rep.dim
+            for j in range(m):
+                fields[j].coeffs[rep] = state[rep][j * d:(j + 1) * d]
+        return fields
+
+    trajectory = [snapshot()]
+    for n in range(n_steps):
+        t = n * dt
+        for rep in reps:
+            V = state[rep]
+            if scheme == "exact":
+                P, Q = cache.get(rep) or exact_block(rep, t)
+                Fm = forcing_block(t + 0.5 * dt, rep)
+                V = P @ V if Fm is None else P @ V + Q @ Fm
+            elif scheme == "cn":
+                tm = t + 0.5 * dt
+                B = sys.block_matrix(tm, rep)
+                rhs = V + (0.5 * dt) * (B @ V)
+                Fm = forcing_block(tm, rep)
+                if Fm is not None:
+                    rhs = rhs + dt * Fm
+                V = np.linalg.solve(np.eye(B.shape[0]) - 0.5 * dt * B, rhs)
+            else:
+                V = rk4_block(rep, V, t)
+            state[rep] = V
+        trajectory.append(snapshot())
+    return trajectory

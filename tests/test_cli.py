@@ -1,3 +1,4 @@
+import math
 import json
 
 import numpy as np
@@ -219,6 +220,50 @@ def test_reduce_command(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["pass"] is True
     assert report["max_deviation_from_reference"] < 1e-6
+
+
+def test_reduce_nan_solution_fails(tmp_path, monkeypatch):
+    """A NaN in the reduced solution must fail the comparison, not vanish
+    in the fold over representations."""
+    import lie_diffuse.cli as cli
+
+    real = cli.solve_reduced
+
+    def poisoned(*args, **kwargs):
+        trajectory = real(*args, **kwargs)
+        last = trajectory[-1][-1]
+        rep = list(last.coeffs)[-1]
+        last.coeffs[rep] = np.full_like(last[rep], np.nan)
+        return trajectory
+
+    monkeypatch.setattr(cli, "solve_reduced", poisoned)
+    conf = {"time_order": 2, "coefficients": ["", "-1*laplace"],
+            "data": ["xi 2 0 0", "xi 1 0 0"], "two_L": 2, "dt": 0.01}
+    code, out = run(tmp_path, conf, "reduce", "nan")
+    assert code == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] is False
+    assert math.isnan(report["max_deviation_from_reference"])
+
+
+def test_reduce_reference_failure_exits_4(tmp_path, monkeypatch, capsys):
+    import types
+
+    import scipy.integrate
+
+    def failing(fun, t_span, y0, **kwargs):
+        return types.SimpleNamespace(success=False, message="step size too small",
+                                     y=np.array(y0)[:, None])
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", failing)
+    cfg = write_config(tmp_path, time_order=2, coefficients=["", "-1*laplace"],
+                       data=["xi 2 0 0", "xi 1 0 0"], two_L=2, dt=0.01)
+    code = main(["--config", cfg, "--command", "reduce",
+                 "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "reference integration failed at RepIndex(group='su2', two_ell=0" in err
+    assert "step size too small" in err
 
 
 def test_reduce_needs_keys(tmp_path):

@@ -25,6 +25,7 @@ from lie_diffuse.evolve import (
     step_exact_invariant,
     step_rk4,
 )
+from oracles import evolve_exact_loop
 
 
 def op(terms, two_L=4):
@@ -305,3 +306,31 @@ def test_cn_xdep_nonconvergence_reports_residual():
     with pytest.raises(SolverError) as err:
         step_crank_nicolson(u0, sym, None, 0.0, 0.5, max_iter=1)
     assert err.value.residual > 0.0
+
+
+# ---------------------------------------------------------------- shared stepping core
+
+@pytest.mark.parametrize("case", ["diag", "diag-forced", "dense-forced",
+                                  "t-dependent", "callable-forcing"])
+def test_evolve_exact_matches_per_mode_loop(case):
+    """Bit for bit the same trajectory as the per-mode propagator loop."""
+    u0 = random_field(SU2, 4, seed=21)
+    f = random_field(SU2, 4, seed=22)
+    sym, forcing = HEAT, None
+    if case == "diag-forced":
+        forcing = f
+    elif case == "dense-forced":
+        sym = op([OperatorTerm("laplace", const=-1.0), OperatorTerm("X1", const=0.5)])
+        forcing = f
+    elif case == "t-dependent":
+        sym = op([OperatorTerm("laplace", const=-1.0,
+                               profile=lambda t: 1.0 + 0.5 * math.sin(3.0 * t))])
+        forcing = f
+    elif case == "callable-forcing":
+        forcing = lambda t: (1.0 + t) * f  # noqa: E731
+    problem = EvolutionProblem(sym, u0, forcing=forcing, T=0.3)
+    traj, _ = evolve(problem, scheme="exact", dt=0.03)
+    want = evolve_exact_loop(problem, 0.03)
+    assert len(traj) == len(want) == 11
+    for G, W in zip(traj, want):
+        assert all(np.array_equal(G[rep], W[rep]) for rep in W.coeffs)

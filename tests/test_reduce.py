@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from lie_diffuse.harmonic import SU2, RepIndex, SpectralField, dual_enumerate, random_field
+from lie_diffuse.harmonic import (
+    SU2,
+    TORUS1,
+    RepIndex,
+    SpectralField,
+    dual_enumerate,
+    plancherel_norm,
+    random_field,
+)
 from lie_diffuse.symbol import OperatorSpec, OperatorTerm, build_operator_symbol
 from lie_diffuse.reduce import (
     FirstOrderSystem,
@@ -12,6 +20,7 @@ from lie_diffuse.reduce import (
     reduce_to_first_order,
     solve_reduced,
 )
+from oracles import solve_reduced_loop
 
 
 def laplacian(const=-1.0, two_L=4):
@@ -68,6 +77,40 @@ def test_problem_validation():
     # a_1 slot allows order <= 1 only
     with pytest.raises(ValueError):
         HigherOrderProblem(2, [laplacian(), None], [zero, zero])
+
+
+def test_problem_rejects_nonpositive_horizon():
+    zero = SpectralField.zeros(SU2, 4)
+    with pytest.raises(ValueError, match="horizon"):
+        HigherOrderProblem(2, [None, None], [zero, zero], T=0.0)
+
+
+def test_problem_rejects_data_on_another_bandlimit():
+    with pytest.raises(ValueError, match="data fields disagree"):
+        HigherOrderProblem(2, [None, laplacian()],
+                           [SpectralField.zeros(SU2, 4), SpectralField.zeros(SU2, 2)])
+
+
+def test_problem_rejects_coefficient_on_another_group():
+    zero = SpectralField.zeros(SU2, 4)
+    circle = build_operator_symbol(
+        OperatorSpec(TORUS1, 4, [OperatorTerm("laplace", const=-1.0)]))
+    with pytest.raises(ValueError, match="a_2 is on torus1"):
+        HigherOrderProblem(2, [None, circle], [zero, zero])
+
+
+def test_problem_rejects_forcing_at_another_bandlimit():
+    zero = SpectralField.zeros(SU2, 4)
+    with pytest.raises(ValueError, match="forcing and data"):
+        HigherOrderProblem(2, [None, laplacian()], [zero, zero],
+                           forcing=SpectralField.zeros(SU2, 2))
+
+
+def test_problem_rejects_forcing_on_another_group():
+    zero = SpectralField.zeros(SU2, 4)
+    with pytest.raises(ValueError, match="forcing and data"):
+        HigherOrderProblem(2, [None, laplacian()], [zero, zero],
+                           forcing=SpectralField.zeros(TORUS1, 4))
 
 
 def test_last_row_blocks_are_order_one():
@@ -176,3 +219,56 @@ def test_third_order_reduction_round_trip():
     from scipy.linalg import expm as dense_expm
     oracle = (dense_expm(0.5 * C) @ np.array([1.0, 0.0, 0.0]))[0]
     assert u[-1][rep][0, 0].real == pytest.approx(oracle, abs=1e-10)
+
+
+# ---------------------------------------------------------------- shared stepping core
+
+def order_m_system(m, forcing, t_dependent, two_L=2, T=0.2):
+    """Damped order-m problem with random data; a_2 may carry a time profile."""
+    def sym(term):
+        return build_operator_symbol(OperatorSpec(SU2, two_L, [term]))
+
+    profile = (lambda t: 1.0 + 0.5 * math.sin(3.0 * t)) if t_dependent else None
+    coeffs = [sym(OperatorTerm("laplace", exponent=0.5, const=-0.2)),
+              sym(OperatorTerm("laplace", const=-1.0, profile=profile))]
+    if m == 3:
+        coeffs.append(sym(OperatorTerm("bessel", exponent=3.0, const=-1.0)))
+    data = [random_field(SU2, two_L, seed=40 + j) for j in range(m)]
+    f = random_field(SU2, two_L, seed=50)
+    forcing = {"none": None, "constant": f,
+               "callable": lambda t: (1.0 + t) * f}[forcing]
+    return reduce_to_first_order(
+        HigherOrderProblem(m, coeffs, data, forcing=forcing, T=T))
+
+
+@pytest.mark.parametrize("t_dependent", [False, True])
+@pytest.mark.parametrize("forcing", ["none", "constant", "callable"])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("scheme", ["exact", "cn", "rk4"])
+def test_solve_reduced_matches_stacked_block_loop(scheme, m, forcing, t_dependent):
+    """Bit for bit the same trajectory as stepping each stacked block alone."""
+    sys = order_m_system(m, forcing, t_dependent)
+    got = solve_reduced(sys, scheme=scheme, dt=0.02)
+    want = solve_reduced_loop(sys, scheme, 0.02)
+    assert len(got) == len(want) == 11
+    for g_fields, w_fields in zip(got, want):
+        assert len(g_fields) == m
+        for G, W in zip(g_fields, w_fields):
+            assert all(np.array_equal(G[rep], W[rep]) for rep in W.coeffs)
+
+
+def test_rk4_substeps_past_its_stability_cap():
+    """dt = 1 is about twice the cap at two_L = 8: the step is cut in two
+    and the damped wave decays instead of growing."""
+    two_L = 8
+    a1 = build_operator_symbol(OperatorSpec(
+        SU2, two_L, [OperatorTerm("laplace", exponent=0.5, const=-0.2)]))
+    prob = HigherOrderProblem(
+        2, [a1, laplacian(-1.0, two_L)],
+        [random_field(SU2, two_L, seed=1), random_field(SU2, two_L, seed=2)],
+        T=4.0)
+    sys = reduce_to_first_order(prob)
+    with pytest.warns(UserWarning, match="stability cap .*substepping x2"):
+        traj = solve_reduced(sys, scheme="rk4", dt=1.0)
+    norms = [math.sqrt(sum(plancherel_norm(F) for F in stacked)) for stacked in traj]
+    assert norms[-1] <= norms[0]
