@@ -148,21 +148,26 @@ def parse_field_spec(spec: str, group: str, two_L: int, seed: int) -> SpectralFi
     if not parts:
         raise ConfigError("empty field spec")
     name = parts[0]
+    if name in ("xi", "random"):
+        try:
+            args = [int(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise ConfigError(f"bad {name} spec {spec!r}: arguments are integers") from exc
     if name == "delta":
+        if len(parts) > 1:
+            raise ConfigError(f"delta takes no arguments: {spec!r}")
         F = SpectralField.zeros(group, two_L)
         for rep in dual_enumerate(group, two_L):
             F.coeffs[rep] = np.eye(rep.dim, dtype=complex)
         return F
     if name == "xi":
         want = 3 if group == SU2 else 1
-        try:
-            args = [int(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise ConfigError(f"bad xi spec {spec!r}") from exc
         if len(args) != want:
-            raise ConfigError(f"xi takes {want} integer arguments on {group}")
+            raise ConfigError(f"xi takes {want} integer arguments on {group}: {spec!r}")
         if group == SU2:
             two_ell, i, j = args
+            if two_ell < 0:
+                raise ConfigError(f"xi spec {spec!r}: negative degree {two_ell}")
             rep = RepIndex(SU2, two_ell=two_ell)
             d = rep.dim
             if not (0 <= i < d and 0 <= j < d):
@@ -177,8 +182,9 @@ def parse_field_spec(spec: str, group: str, two_L: int, seed: int) -> SpectralFi
         except ValueError as exc:
             raise ConfigError(f"xi spec {spec!r} above bandlimit {two_L}") from exc
     if name == "random":
-        n = seed if len(parts) == 1 else int(parts[1])
-        return random_field(group, two_L, seed=n)
+        if len(args) > 1 or min(args, default=0) < 0:
+            raise ConfigError(f"random takes one nonnegative integer seed: {spec!r}")
+        return random_field(group, two_L, seed=args[0] if args else seed)
     path = Path(spec)
     if not path.exists():
         raise ConfigError(f"field file not found: {spec}")
@@ -335,15 +341,33 @@ def _cmd_evolve(cfg: RunConfig, out: Path, allow_unverified: bool) -> int:
     return 0
 
 
+# Largest max_rep ||B||_2 * T the reference integrates: explicit RK45's step
+# count grows with it (about 4 s at 2.3e4 with two_L=4).  The test suite's
+# reduce runs stay below 3 and the benchmark's wave-reduce job is at 9.4.
+REFERENCE_STIFFNESS_CAP = 1e3
+
+
 def _reduce_reference(sys, dt: float):
     """Independent check: integrate each per-mode block ODE with an
     adaptive Runge-Kutta method (tight tolerances) and return the final
-    stacked state per representation."""
+    stacked state per representation.
+
+    A system with ||B||_2 * T above REFERENCE_STIFFNESS_CAP = 1e3 at some
+    representation (non-finite B counts as infinite) is refused with a
+    SolverError naming the representation and the value, before any
+    integration: the explicit reference would run for minutes or hours."""
     from scipy.integrate import solve_ivp
 
+    blocks = {rep: sys.block_matrix(0.0, rep) for rep in sys.initial[0].coeffs}
+    stiffness = {rep: float(np.linalg.norm(B, 2)) * sys.T if np.isfinite(B).all()
+                 else math.inf for rep, B in blocks.items()}
+    worst = max(stiffness, key=stiffness.get)
+    if stiffness[worst] > REFERENCE_STIFFNESS_CAP:
+        raise SolverError(
+            f"reference integration refused at {worst}: ||B||_2 * T = "
+            f"{stiffness[worst]:.3g} exceeds {REFERENCE_STIFFNESS_CAP:g}", math.nan)
     out = {}
-    for rep in sys.initial[0].coeffs:
-        B = sys.block_matrix(0.0, rep)
+    for rep, B in blocks.items():
         V0 = np.concatenate([F[rep] for F in sys.initial], axis=0)
         f = sys.forcing_at(0.0)
         Fb = None
@@ -397,9 +421,11 @@ def _cmd_reduce(cfg: RunConfig, out: Path, allow_unverified: bool) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     sys_ = reduce_to_first_order(prob)
+    # first, so that a system too stiff for the reference fails before the
+    # solve (RK4 substeps grow with the same norm)
+    reference = _reduce_reference(sys_, cfg.dt)
     trajectory = solve_reduced(sys_, scheme=cfg.scheme, dt=cfg.dt)
     u_final = extract_u(sys_, trajectory[-1:])[0]
-    reference = _reduce_reference(sys_, cfg.dt)
     # np.max, unlike max(), carries a NaN deviation through to a failed run
     dev = float(np.max([
         np.abs(np.concatenate([F[rep] for F in trajectory[-1]], axis=0) - V).max()

@@ -1,7 +1,7 @@
 """Time integration of dv/dt = K(t) v + f and energy diagnostics.
 
-States are spectral fields; the generator acts per representation through
-its symbol.  Three steppers are provided:
+States are packed spectral fields; the generator acts per representation
+through its symbol.  Three steppers are provided:
 
 * step_exact_invariant: per-mode matrix exponential, exact for x- and
   t-independent K (t-dependent coefficients are frozen at the step
@@ -13,23 +13,27 @@ its symbol.  Three steppers are provided:
 * step_crank_nicolson: A-stable trapezoidal rule with midpoint-frozen
   coefficients.  x-independent symbols get direct per-mode solves; the
   x-dependent path runs a Richardson iteration preconditioned with the
-  x-averaged symbol (tolerance 1e-12, fixed iteration cap).
+  x-averaged symbol (tolerance 1e-12, fixed iteration cap), updating the
+  iterate's buffer in place.
 
 All three, and reduce.solve_reduced on its stacked companion blocks, share
 one stepping core: per-mode exact, CN and RK4 updates, one forcing resolver,
-and one driver (_integrate) that snaps dt, picks the "auto" scheme, caches
-t-independent propagators and substeps RK4 past its stability cap.
+and one driver (_integrate) that snaps dt, picks the "auto" scheme, builds
+a t-independent generator's matrices and propagators once, and substeps RK4
+past its stability cap.
 
 Energy diagnostics follow the L^2 identity d/dt ||v||^2 = 2 Re(Kv, v)
 + 2 Re(f, v) via finite differences, and the energy estimate
-||v(t)||^2 <= C ||u0||^2 + C' int ||f||^2 with fitted constants.
+||v(t)||^2 <= C ||u0||^2 + C' int ||f||^2 with fitted constants.  They run
+one state at a time on its buffer: a norm is one weighted dot, a Bessel
+weight or a diagonal K one per-entry product (see the symbol module).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -40,7 +44,8 @@ from .harmonic import (
     plancherel_norm,
     spectral_inner,
 )
-from .symbol import Symbol, apply_spectral, averaged_matrix, bessel_weight, invariant_apply
+from .symbol import (Symbol, apply_spectral, averaged_matrix, invariant_apply,
+                     weighted_field)
 from .wellposed import Classification, classify_problem
 
 
@@ -53,14 +58,6 @@ class SolverError(RuntimeError):
 
 
 # ---------------------------------------------------------------- Sobolev norms
-
-def weighted_field(F: SpectralField, s: float, kind: str = "elliptic") -> SpectralField:
-    """Apply the order-s Bessel weight per representation."""
-    out = F.zeros_like()
-    for rep, mat in F.items():
-        out.coeffs[rep] = bessel_weight(rep, s, kind) @ mat
-    return out
-
 
 def sobolev_norm(F: SpectralField, s: float, kind: str = "elliptic") -> float:
     """H^s norm: Plancherel norm of the Bessel-weighted coefficients."""
@@ -107,7 +104,7 @@ def _apply(sym: Symbol, t: float, F: SpectralField) -> SpectralField:
 def _mode_matrix(sym: Symbol, t: float, rep) -> np.ndarray:
     """The generator block at rep; x-dependent symbols give their x-average."""
     if sym.x_independent:
-        return np.asarray(sym.evaluator(t, None, rep))
+        return np.asarray(sym.matrix(t, rep))
     return averaged_matrix(sym, t, rep)
 
 
@@ -186,21 +183,20 @@ def _step_modes(scheme: str, state, matrix, forcing, t: float, dt: float,
     fm = _forcing_at(forcing, tm)
     if scheme == "rk4":
         fs = {t: _forcing_at(forcing, t), tm: fm, t + dt: _forcing_at(forcing, t + dt)}
-    out = {}
+    out = state.zeros_like() if isinstance(state, SpectralField) else {}
+    blocks = out.coeffs if isinstance(state, SpectralField) else out
     for rep, V in state.items():
         Fm = None if fm is None else fm[rep]
         if scheme == "exact":
-            out[rep] = _exact_update(propagators(rep, t, dt), V, Fm)
+            blocks[rep] = _exact_update(propagators(rep, t, dt), V, Fm)
         elif scheme == "cn":
-            out[rep] = _cn_update(matrix(tm, rep), V, Fm, dt)
+            blocks[rep] = _cn_update(matrix(tm, rep), V, Fm, dt)
         else:
             def rhs(tau, W, rep=rep):
                 f = fs[tau]
                 dW = matrix(tau, rep) @ W
                 return dW if f is None else dW + f[rep]
-            out[rep] = _rk4(rhs, V, t, dt)
-    if isinstance(state, SpectralField):
-        return SpectralField(state.group, state.two_L, out)
+            blocks[rep] = _rk4(rhs, V, t, dt)
     return out
 
 
@@ -262,8 +258,8 @@ def step_crank_nicolson(state: SpectralField, sym: Symbol, forcing=None,
         rnorm = math.sqrt(plancherel_norm(resid))
         if rnorm <= tol * scale:
             return v
-        for rep, mat in resid.items():
-            v.coeffs[rep] = v.coeffs[rep] + pre[rep] @ mat
+        for rep, V in v.items():
+            V += pre[rep] @ resid[rep]
     raise SolverError(f"Crank-Nicolson iteration stalled (residual {rnorm:.3e})",
                       rnorm)
 
@@ -297,9 +293,10 @@ def _integrate(v0, T: float, dt: float, scheme: str, *, x_independent: bool,
                record=lambda v: v):
     """Driver of evolve and reduce.solve_reduced; returns (scheme, dt,
     [record(v0), record(v1), ...]).  dt snaps to at least two whole steps;
-    "auto" is exact for x- and t-independent generators, CN otherwise; exact
-    propagators are built once when nothing depends on t; RK4 substeps past
-    its cap.  step(scheme, v, t, h) defaults to _step_modes."""
+    "auto" is exact for x- and t-independent generators, CN otherwise; a
+    t-independent generator's matrices, and its exact propagators when the
+    forcing is not callable, are built once per rep; RK4 substeps past its
+    cap.  step(scheme, v, t, h) defaults to _step_modes."""
     if dt > T:
         raise ValueError("dt exceeds the horizon")
     n_steps = max(2, int(round(T / dt)))
@@ -312,6 +309,9 @@ def _integrate(v0, T: float, dt: float, scheme: str, *, x_independent: bool,
         raise ValueError("exact stepper needs an x-independent symbol")
 
     reps = [rep for rep, _ in v0.items()]
+    if t_independent and scheme != "exact":
+        mats = {rep: matrix(0.0, rep) for rep in reps}
+        matrix = lambda t, rep: mats[rep]  # noqa: E731
     substeps = 1
     if scheme == "rk4":
         substeps = _rk4_substeps(matrix, reps, t_independent, T, dt)
@@ -351,17 +351,9 @@ class EnergyReport:
     verified: bool | None = None
     s: float = 0.0
     kind: str = "elliptic"
-    extras: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {"times": self.times, "l2_norms": self.l2_norms,
-                "hs_norms": self.hs_norms,
-                "hs_gain_norms": self.hs_gain_norms,
-                "identity_residuals": self.identity_residuals,
-                "C": self.C, "C_prime": self.C_prime,
-                "estimate_satisfied": self.estimate_satisfied,
-                "scheme": self.scheme, "case": self.case,
-                "verified": self.verified, "s": self.s, "kind": self.kind}
+        return asdict(self)
 
 
 def evolve(problem: EvolutionProblem, scheme: str = "auto", dt: float = 1e-2,

@@ -38,12 +38,25 @@ tables of the grid's plan.  The theta stage works one degree at a time: the
 indices of degree two_ell form one parity class with stride 2, so its block
 is the strided view [T - two_ell : T + two_ell + 1 : 2] on both index axes,
 weighted there with the Wigner little-d values at the theta nodes.
+
+Storage
+-------
+A SpectralField keeps all its coefficients in one contiguous complex buffer,
+``F.data``: the d x d blocks in dual_enumerate order, each in C order.  The
+layout (block slices and d_xi at every entry) is built once per (group,
+two_L) by field_layout.  ``F[rep]``, ``F.items()`` and ``F.coeffs.values()``
+give views onto the buffer, so writing into a block writes the field;
+``F.coeffs[rep] = m`` copies m into its view after checking the shape and
+that rep is within the bandlimit.  Field arithmetic is one numpy operation
+on the buffers, and the Plancherel norm and pairing one weighted dot each.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,9 +89,6 @@ class RepIndex:
     @property
     def dim(self) -> int:
         return self.two_ell + 1 if self.group == SU2 else 1
-
-    def sort_key(self):
-        return self.two_ell if self.group == SU2 else self.k
 
 
 def dual_enumerate(group: str, two_L: int) -> list[RepIndex]:
@@ -183,46 +193,80 @@ class GridField:
             raise ValueError("grid mismatch: values length != node count")
 
 
-@dataclass
-class SpectralField:
-    """Fourier coefficients: one d x d matrix per representation <= bandlimit."""
+class FieldLayout:
+    """Where each representation's block sits in a packed buffer: slots[rep]
+    is (slice, d); dims holds d_xi at every entry (the Plancherel weight)."""
 
-    group: str
-    two_L: int
-    coeffs: dict[RepIndex, np.ndarray] = field(default_factory=dict)
+    def __init__(self, group: str, two_L: int):
+        self.reps = tuple(dual_enumerate(group, two_L))
+        sizes = [rep.dim ** 2 for rep in self.reps]
+        ends = np.cumsum([0] + sizes).tolist()
+        self.slots = {rep: (slice(a, b), rep.dim)
+                      for rep, a, b in zip(self.reps, ends, ends[1:])}
+        self.size = ends[-1]
+        self.dims = np.repeat([float(rep.dim) for rep in self.reps], sizes)
+        self.dims.flags.writeable = False
 
-    def __post_init__(self):
-        full = {}
-        for rep in dual_enumerate(self.group, self.two_L):
-            mat = self.coeffs.get(rep)
-            if mat is None:
-                mat = np.zeros((rep.dim, rep.dim), dtype=complex)
-            else:
-                mat = np.asarray(mat, dtype=complex)
-                if mat.shape != (rep.dim, rep.dim):
-                    raise ValueError(f"coefficient shape {mat.shape} wrong for {rep}")
-            full[rep] = mat
-        for rep in self.coeffs:
-            if rep not in full:
-                raise ValueError(f"representation {rep} above bandlimit {self.two_L}")
-        self.coeffs = full
+
+field_layout = lru_cache(maxsize=None)(FieldLayout)   # interned per (group, two_L)
+
+
+class SpectralField(Mapping):
+    """Fourier coefficients: one d x d matrix per representation <= bandlimit,
+    packed into one buffer (see Storage above).  The field is a mapping rep ->
+    block view, also reachable as coeffs; blocks not given are zero."""
+
+    # numpy scalars then defer to __rmul__ instead of iterating the mapping
+    __array_ufunc__ = None
+
+    def __init__(self, group: str, two_L: int, coeffs=None):
+        self.group, self.two_L = group, two_L
+        self.layout = field_layout(group, two_L)
+        self.data = np.zeros(self.layout.size, dtype=complex)
+        for rep, mat in (coeffs or {}).items():
+            self[rep] = mat
 
     @classmethod
     def zeros(cls, group: str, two_L: int) -> "SpectralField":
-        return cls(group, two_L, {})
+        return cls(group, two_L)
+
+    def with_data(self, data) -> "SpectralField":
+        """A field on this layout holding data (a whole buffer, not copied)."""
+        out = object.__new__(SpectralField)
+        out.group, out.two_L, out.layout = self.group, self.two_L, self.layout
+        out.data = np.ascontiguousarray(data, dtype=complex)
+        if out.data.shape != (self.layout.size,):
+            raise ValueError(f"buffer shape {out.data.shape} wrong for the layout")
+        return out
 
     def zeros_like(self) -> "SpectralField":
-        return SpectralField.zeros(self.group, self.two_L)
+        return self.with_data(np.zeros_like(self.data))
 
-    def items(self):
-        return self.coeffs.items()
+    @property
+    def coeffs(self) -> "SpectralField":
+        return self
 
     def __getitem__(self, rep: RepIndex) -> np.ndarray:
-        return self.coeffs[rep]
+        sl, d = self.layout.slots[rep]
+        return self.data[sl].reshape(d, d)
+
+    def __setitem__(self, rep: RepIndex, mat):
+        """Copy mat into rep's block."""
+        if rep not in self.layout.slots:
+            raise ValueError(f"representation {rep} above bandlimit {self.two_L}")
+        mat = np.asarray(mat, dtype=complex)
+        if mat.shape != (rep.dim, rep.dim):
+            raise ValueError(f"coefficient shape {mat.shape} wrong for {rep}")
+        self[rep][...] = mat
+
+    def __iter__(self):
+        return iter(self.layout.reps)
+
+    def __len__(self) -> int:
+        return len(self.layout.reps)
 
     def copy(self) -> "SpectralField":
-        return SpectralField(self.group, self.two_L,
-                             {r: m.copy() for r, m in self.coeffs.items()})
+        return self.with_data(self.data.copy())
 
     def _check_compatible(self, other: "SpectralField"):
         if self.group != other.group or self.two_L != other.two_L:
@@ -230,17 +274,14 @@ class SpectralField:
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)
-        return SpectralField(self.group, self.two_L,
-                             {r: m + other.coeffs[r] for r, m in self.coeffs.items()})
+        return self.with_data(self.data + other.data)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)
-        return SpectralField(self.group, self.two_L,
-                             {r: m - other.coeffs[r] for r, m in self.coeffs.items()})
+        return self.with_data(self.data - other.data)
 
     def __mul__(self, c) -> "SpectralField":
-        return SpectralField(self.group, self.two_L,
-                             {r: c * m for r, m in self.coeffs.items()})
+        return self.with_data(c * self.data)
 
     __rmul__ = __mul__
 
@@ -273,13 +314,13 @@ def _su2_forward(f: GridField, two_L: int) -> SpectralField:
     U = np.conj(g._ephi).T @ f.values.reshape(A, B * C)
     V = (U.reshape(M * B, C) @ np.conj(g._epsi)).reshape(M, B, M)
     V *= g.w_theta[:, None] / (A * C)
-    out = {}
-    for rep in dual_enumerate(SU2, two_L):
+    out = SpectralField(SU2, two_L)
+    for rep, block in out.items():
         tl = rep.two_ell
         sl = slice(T - tl, T + tl + 1, 2)
         dst = g._dstacks[tl]
-        out[rep] = (V[sl, :, sl] * dst.transpose(1, 0, 2)).sum(axis=1).T
-    return SpectralField(SU2, two_L, out)
+        block[...] = (V[sl, :, sl] * dst.transpose(1, 0, 2)).sum(axis=1).T
+    return out
 
 
 def _su2_inverse(F: SpectralField, grid: GridSpec) -> GridField:
@@ -315,11 +356,9 @@ def fourier_forward(f: GridField, two_L: int | None = None) -> SpectralField:
     if grid.group == SU2:
         return _su2_forward(f, two_L)
     T = grid._plan(grid.two_L)
-    ks = np.arange(-T, T + 1)
     coef = (np.conj(grid._ephi).T @ f.values) / grid.n_nodes
-    out = {RepIndex(TORUS1, k=k): np.array([[coef[i]]])
-           for i, k in enumerate(ks) if abs(k) <= two_L}
-    return SpectralField(TORUS1, two_L, out)
+    # the circle's 1 x 1 blocks are its characters k = -two_L..two_L in order
+    return SpectralField(TORUS1, two_L).with_data(coef[T - two_L:T + two_L + 1])
 
 
 def fourier_inverse(F: SpectralField, grid: GridSpec) -> GridField:
@@ -330,8 +369,7 @@ def fourier_inverse(F: SpectralField, grid: GridSpec) -> GridField:
         return _su2_inverse(F, grid)
     T = grid._plan(max(grid.two_L, F.two_L))
     coef = np.zeros(2 * T + 1, dtype=complex)
-    for rep, mat in F.items():
-        coef[rep.k + T] = mat[0, 0]
+    coef[T - F.two_L:T + F.two_L + 1] = F.data
     return GridField(grid, grid._ephi @ coef)
 
 
@@ -345,29 +383,23 @@ def l2_inner(f: GridField, g: GridField) -> complex:
 
 def plancherel_norm(F: SpectralField) -> float:
     """Spectral energy sum_xi d_xi ||F(xi)||_HS^2 (the squared L^2 norm)."""
-    total = 0.0
-    for rep, mat in F.items():
-        total += rep.dim * float(np.sum(np.abs(mat) ** 2))
-    return total
+    return float(np.vdot(F.data, F.layout.dims * F.data).real)
 
 
 def spectral_inner(F: SpectralField, G: SpectralField) -> complex:
     """Plancherel pairing sum_xi d_xi Tr[F(xi) G(xi)^*] (equals the L^2 one)."""
     F._check_compatible(G)
-    total = 0.0 + 0.0j
-    for rep, mat in F.items():
-        total += rep.dim * np.trace(mat @ G.coeffs[rep].conj().T)
-    return complex(total)
+    return complex(np.vdot(G.data, F.layout.dims * F.data))
 
 
 def random_field(group: str, two_L: int, seed: int) -> SpectralField:
     """Deterministic random coefficients (standard complex normal entries)."""
     rng = np.random.default_rng(seed)
-    out = {}
-    for rep in dual_enumerate(group, two_L):
+    F = SpectralField(group, two_L)
+    for rep, block in F.items():
         d = rep.dim
-        out[rep] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return SpectralField(group, two_L, out)
+        block[...] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return F
 
 
 def field_to_dict(F: SpectralField) -> dict:

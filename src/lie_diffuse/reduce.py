@@ -114,7 +114,7 @@ class FirstOrderSystem:
             a = self.coeffs[m - i - 1]       # b_{i+1} = a_{m-i} Gamma^{i+1-m}
             if a is None:
                 continue
-            A = np.asarray(a.evaluator(t, None, rep))
+            A = np.asarray(a.matrix(t, rep))
             B[(m - 1) * d:, i * d:(i + 1) * d] = A @ self.gamma_power(rep, i + 1 - m)
         return B
 

@@ -21,6 +21,14 @@ Operators are described structurally as sums of coefficient * base terms
 and scalar time profiles.  Products of a spatial coefficient with a
 bandlimited state are formed on a grid resolving the combined bandwidth and
 projected back, which avoids aliasing.
+
+On a packed SpectralField, a symbol or base whose matrices are all diagonal
+(sums of laplace, sublaplace, bessel, sbessel, id, d0, X3, iX3) acts as one
+per-entry vector times the buffer: entry (r, c) of a block is scaled by the
+diagonal at r, the numbers of the diagonal-matrix product.  Otherwise (X1,
+X2, d+, d- terms) each block is multiplied by its matrix.  Base symbols and
+Bessel weights are built once per layout; an x- and t-independent symbol is
+evaluated once per representation (Symbol.matrix) and reused.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from .harmonic import (
     RepIndex,
     SpectralField,
     dual_enumerate,
+    field_layout,
     fourier_forward,
     fourier_inverse,
     quadrature_grid,
@@ -171,6 +180,46 @@ def _base_matrix(base: str, exponent: float, rep: RepIndex) -> np.ndarray:
     raise ValueError(f"unknown base {base!r}")
 
 
+def _operand(mats):
+    """One matrix per representation, as _apply_operand takes it: when all
+    are diagonal, the per-entry vector (entry (r, c) of a block takes
+    A[r, r], so the product is the diagonal-matrix product), else mats."""
+    if any(np.any(A - np.diag(np.diagonal(A))) for A in mats):
+        return tuple(mats)
+    return np.concatenate([np.repeat(np.diagonal(A), len(A)) for A in mats])
+
+
+def _apply_operand(op, F: SpectralField) -> SpectralField:
+    if isinstance(op, np.ndarray):
+        return F.with_data(op * F.data)
+    out = F.zeros_like()
+    for (rep, mat), A in zip(F.items(), op):
+        np.matmul(A, mat, out=out[rep])
+    return out
+
+
+@lru_cache(maxsize=32)
+def _base_operand(base: str, exponent: float, group: str, two_L: int):
+    """_operand of a base symbol over the (group, two_L) layout, read-only."""
+    op = _operand([_base_matrix(base, exponent, rep)
+                   for rep in field_layout(group, two_L).reps])
+    for a in (op,) if isinstance(op, np.ndarray) else op:
+        a.flags.writeable = False
+    return op
+
+
+def _apply_base(base: str, exponent: float, F: SpectralField) -> SpectralField:
+    """A base symbol (see _base_matrix) applied per mode."""
+    return _apply_operand(_base_operand(base, exponent, F.group, F.two_L), F)
+
+
+def weighted_field(F: SpectralField, s: float, kind: str = "elliptic") -> SpectralField:
+    """Apply the order-s Bessel weight (see bessel_weight) per representation."""
+    if kind not in ("elliptic", "subelliptic"):
+        raise ValueError(f"unknown weight kind {kind!r}")
+    return _apply_base("bessel" if kind == "elliptic" else "sbessel", float(s), F)
+
+
 def _base_order(base: str, exponent: float) -> float:
     if base == "id":
         return 0.0
@@ -195,6 +244,11 @@ class OperatorTerm:
     const: complex = 1.0
     space: SpectralField | None = None
     profile: Callable[[float], float] | None = None
+
+    def at(self, t: float) -> complex:
+        """The coefficient at time t without its space factor:
+        const * profile(t), in that order."""
+        return self.const if self.profile is None else self.const * self.profile(t)
 
 
 @dataclass
@@ -240,6 +294,22 @@ class Symbol:
 
     def __post_init__(self):
         self._space_samples: dict[tuple[int, int], np.ndarray] = {}
+        self._cache, self._cache_of = {}, None
+
+    def _cached(self, key, build):
+        """build() once per key while the evaluator stays the same."""
+        if self._cache_of is not self.evaluator:
+            self._cache, self._cache_of = {}, self.evaluator
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def matrix(self, t: float, rep: RepIndex) -> np.ndarray:
+        """The x-independent symbol at rep; a t-independent one is evaluated
+        once per representation."""
+        if not self.t_independent:
+            return self.evaluator(t, None, rep)
+        return self._cached(rep, lambda: self.evaluator(t, None, rep))
 
     def space_samples(self, term_index: int, grid: GridSpec) -> np.ndarray:
         """Samples of a term's spatial coefficient on the given grid (cached)."""
@@ -296,9 +366,7 @@ def build_operator_symbol(spec: OperatorSpec) -> Symbol:
     def evaluator(t, x_node, rep):
         out = np.zeros((rep.dim, rep.dim), dtype=complex)
         for i, term in enumerate(terms):
-            c = term.const
-            if term.profile is not None:
-                c = c * term.profile(t)
+            c = term.at(t)
             if term.space is not None:
                 if x_node is None:
                     raise ValueError("x-dependent symbol needs a node index")
@@ -310,14 +378,18 @@ def build_operator_symbol(spec: OperatorSpec) -> Symbol:
     return sym
 
 
+def _invariant_operand(sym: Symbol, t: float, F: SpectralField):
+    """_operand of sym at t over F's layout; built once if t-independent."""
+    def build():
+        return _operand([sym.matrix(t, rep) for rep in F.layout.reps])
+    return sym._cached((F.group, F.two_L), build) if sym.t_independent else build()
+
+
 def invariant_apply(sym: Symbol, F: SpectralField, t: float = 0.0) -> SpectralField:
     """Per-mode action fhat(xi) -> a(xi) fhat(xi) for x-independent symbols."""
     if not sym.x_independent:
         raise ValueError("invariant_apply requires an x-independent symbol")
-    out = {}
-    for rep, mat in F.items():
-        out[rep] = sym.evaluator(t, None, rep) @ mat
-    return SpectralField(F.group, F.two_L, out)
+    return _apply_operand(_invariant_operand(sym, t, F), F)
 
 
 def _grid_rep_matrices(grid: GridSpec, rep: RepIndex) -> np.ndarray:
@@ -350,13 +422,9 @@ def quantize_apply(sym: Symbol, t: float, f: GridField) -> GridField:
     if sym.terms is not None:
         out = np.zeros(f.grid.node_count, dtype=complex)
         for i, term in enumerate(sym.terms):
-            c = term.const
-            if term.profile is not None:
-                c = c * term.profile(t)
-            base = SpectralField(F.group, F.two_L, {
-                rep: _base_matrix(term.base, term.exponent, rep) @ mat
-                for rep, mat in F.items()})
-            vals = fourier_inverse(base, f.grid).values
+            c = term.at(t)
+            vals = fourier_inverse(_apply_base(term.base, term.exponent, F),
+                                   f.grid).values
             if term.space is not None:
                 vals = vals * sym.space_samples(i, f.grid)
             out += c * vals
@@ -388,12 +456,8 @@ def apply_spectral(sym: Symbol, t: float, F: SpectralField) -> SpectralField:
         acc_grid = np.zeros(big.node_count, dtype=complex)
         acc_spec = SpectralField.zeros(F.group, F.two_L)
         for i, term in enumerate(sym.terms):
-            c = term.const
-            if term.profile is not None:
-                c = c * term.profile(t)
-            base = SpectralField(F.group, F.two_L, {
-                rep: _base_matrix(term.base, term.exponent, rep) @ mat
-                for rep, mat in F.items()})
+            c = term.at(t)
+            base = _apply_base(term.base, term.exponent, F)
             if term.space is None:
                 acc_spec = acc_spec + c * base
             else:
@@ -419,9 +483,7 @@ def averaged_matrix(sym: Symbol, t: float, rep: RepIndex) -> np.ndarray:
         trivial = RepIndex(sym.group) if sym.group == SU2 \
             else RepIndex(TORUS1, k=0)
         for term in sym.terms:
-            c = term.const
-            if term.profile is not None:
-                c = c * term.profile(t)
+            c = term.at(t)
             if term.space is not None:
                 c = c * term.space.coeffs[trivial][0, 0]
             out += c * _base_matrix(term.base, term.exponent, rep)

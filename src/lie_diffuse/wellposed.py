@@ -230,9 +230,7 @@ def _term_coefficients(sym: Symbol, times: list[float], nodes: list) -> list:
     for t in times:
         row = []
         for i, term in enumerate(sym.terms):
-            c = term.const
-            if term.profile is not None:
-                c = c * term.profile(t)
+            c = term.at(t)
             if term.space is not None:
                 s = sym.space_samples(i, sym.base_grid)
                 c = np.array([c * s[node] for node in nodes])[:, None, None]

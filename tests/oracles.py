@@ -7,9 +7,12 @@ library's own batched machinery.  The SU(2) Fourier transforms are written
 here with einsum, as the reference for the library's matrix-product stages.
 The time-stepping references are the per-scheme loops that evolve() and
 solve_reduced ran before both shared the evolve module's stepping core.
+BlockField and its norms, Bessel weights and invariant_apply are the
+dict-of-blocks field layout the package used before its packed buffer.
 """
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
@@ -344,3 +347,93 @@ def solve_reduced_loop(sys, scheme, dt):
             state[rep] = V
         trajectory.append(snapshot())
     return trajectory
+
+
+# ---------------------------------------------------------------- field layout reference
+#
+# One separately allocated d x d block per representation, arithmetic block by
+# block, and weights and symbols applied with dense matrix products.  The
+# packed field does the same elementwise floating-point operations (a
+# diagonal-matrix product gives the entry times the diagonal), so blocks must
+# match exactly; norms and pairings sum in another order and match to
+# rounding.
+
+@dataclass
+class BlockField:
+    """Dict-of-blocks spectral field; missing blocks are zero."""
+
+    group: str
+    two_L: int
+    coeffs: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        full = {}
+        for rep in dual_enumerate(self.group, self.two_L):
+            mat = self.coeffs.get(rep)
+            if mat is None:
+                mat = np.zeros((rep.dim, rep.dim), dtype=complex)
+            else:
+                mat = np.asarray(mat, dtype=complex)
+                if mat.shape != (rep.dim, rep.dim):
+                    raise ValueError(f"coefficient shape {mat.shape} wrong for {rep}")
+            full[rep] = mat
+        for rep in self.coeffs:
+            if rep not in full:
+                raise ValueError(f"representation {rep} above bandlimit {self.two_L}")
+        self.coeffs = full
+
+    @classmethod
+    def of(cls, F):
+        """Copy of a packed field's blocks."""
+        return cls(F.group, F.two_L, {rep: np.array(m) for rep, m in F.items()})
+
+    def items(self):
+        return self.coeffs.items()
+
+    def __getitem__(self, rep):
+        return self.coeffs[rep]
+
+    def __add__(self, other):
+        return BlockField(self.group, self.two_L,
+                          {r: m + other.coeffs[r] for r, m in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return BlockField(self.group, self.two_L,
+                          {r: m - other.coeffs[r] for r, m in self.coeffs.items()})
+
+    def __mul__(self, c):
+        return BlockField(self.group, self.two_L,
+                          {r: c * m for r, m in self.coeffs.items()})
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * (-1.0)
+
+
+def plancherel_norm_blocks(F):
+    """sum_xi d_xi ||F(xi)||_HS^2, one block at a time."""
+    total = 0.0
+    for rep, mat in F.items():
+        total += rep.dim * float(np.sum(np.abs(mat) ** 2))
+    return total
+
+
+def spectral_inner_blocks(F, G):
+    """sum_xi d_xi Tr[F(xi) G(xi)^*] through one matrix product per block."""
+    total = 0.0 + 0.0j
+    for rep, mat in F.items():
+        total += rep.dim * np.trace(mat @ G[rep].conj().T)
+    return complex(total)
+
+
+def weighted_field_blocks(F, s, kind="elliptic"):
+    """The order-s Bessel weight as a dense matrix product per block."""
+    return BlockField(F.group, F.two_L,
+                      {rep: bessel_weight(rep, s, kind) @ mat for rep, mat in F.items()})
+
+
+def invariant_apply_blocks(sym, F, t=0.0):
+    """One evaluator call and one matrix product per block."""
+    return BlockField(F.group, F.two_L,
+                      {rep: sym.evaluator(t, None, rep) @ mat for rep, mat in F.items()})

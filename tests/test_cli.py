@@ -1,5 +1,6 @@
 import math
 import json
+import re
 
 import numpy as np
 import pytest
@@ -318,3 +319,35 @@ def test_symbol_overflow_exits_2(tmp_path, capsys):
         assert main(["--config", cfg, "--command", command,
                      "--out", str(tmp_path / command)]) == 2
         assert "non-finite symbol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["random abc", "random -1", "xi -2 0 0",
+                                  "random 1 2 3", "delta extra"])
+def test_malformed_field_spec_exits_2(tmp_path, spec, capsys):
+    with pytest.raises(ConfigError, match=re.escape(repr(spec))):
+        parse_field_spec(spec, SU2, 4, seed=0)
+    cfg = write_config(tmp_path, operator="-1*bessel^2", u0=spec, two_L=4)
+    assert main(["--config", cfg, "--command", "evolve",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert repr(spec) in capsys.readouterr().err
+
+
+def test_reduce_reference_refuses_stiff_systems(tmp_path, monkeypatch, capsys):
+    """-1e8*laplace puts ||B||_2 T near 2.3e8 at two_L=4: exit 4 naming the
+    representation and the value, before any integration starts."""
+    import scipy.integrate
+
+    import lie_diffuse.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("integration started")
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", never)
+    monkeypatch.setattr(cli, "solve_reduced", never)
+    cfg = write_config(tmp_path, time_order=2,
+                       coefficients=["-0.2*laplace^1/2", "-1e8*laplace"],
+                       data=["random 1", "random 2"], two_L=4, dt=0.01)
+    assert main(["--config", cfg, "--command", "reduce",
+                 "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "refused at RepIndex(group='su2', two_ell=4" in err
+    assert "2.27e+08 exceeds 1000" in err

@@ -25,6 +25,7 @@ from lie_diffuse.evolve import (
     step_exact_invariant,
     step_rk4,
 )
+from lie_diffuse.wellposed import classify_problem
 from oracles import evolve_exact_loop
 
 
@@ -334,3 +335,27 @@ def test_evolve_exact_matches_per_mode_loop(case):
     assert len(traj) == len(want) == 11
     for G, W in zip(traj, want):
         assert all(np.array_equal(G[rep], W[rep]) for rep in W.coeffs)
+
+
+@pytest.mark.parametrize("scheme", ["exact", "cn", "rk4"])
+@pytest.mark.parametrize("operator", ["diagonal", "dense"])
+def test_evolve_evaluates_invariant_symbol_once_per_rep(scheme, operator):
+    """Stepping and diagnostics reuse one evaluation per representation of an
+    x- and t-independent symbol (the classifier's scan is not counted)."""
+    terms = [OperatorTerm("laplace", exponent=0.5, const=-1.0),
+             OperatorTerm("iX3", const=0.5)]
+    if operator == "dense":
+        terms.append(OperatorTerm("X1", const=0.3))
+    sym = op(terms)
+    cls = classify_problem(sym)
+    calls = []
+    evaluator = sym.evaluator
+
+    def counted(t, x, rep):
+        calls.append(rep)
+        return evaluator(t, x, rep)
+    sym.evaluator = counted
+    problem = EvolutionProblem(sym, random_field(SU2, 4, seed=31),
+                               forcing=random_field(SU2, 4, seed=32), T=0.2, s=1.0)
+    evolve(problem, scheme=scheme, dt=0.02, classification=cls)
+    assert len(calls) == len(set(calls)) <= 5

@@ -272,3 +272,19 @@ def test_rk4_substeps_past_its_stability_cap():
         traj = solve_reduced(sys, scheme="rk4", dt=1.0)
     norms = [math.sqrt(sum(plancherel_norm(F) for F in stacked)) for stacked in traj]
     assert norms[-1] <= norms[0]
+
+
+@pytest.mark.parametrize("scheme", ["exact", "cn", "rk4"])
+def test_t_independent_generator_is_built_once_per_rep(scheme):
+    """Each companion block is built once, whatever the number of steps,
+    RK4 stages and substeps."""
+    sys = order_m_system(2, "constant", False, two_L=16, T=0.1)
+    calls = []
+    build = sys.block_matrix
+
+    def counted(t, rep):
+        calls.append(rep)
+        return build(t, rep)
+    sys.block_matrix = counted
+    solve_reduced(sys, scheme=scheme, dt=0.01)
+    assert len(calls) == len(set(calls)) == 17
