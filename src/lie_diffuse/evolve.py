@@ -16,11 +16,12 @@ through its symbol.  Three steppers are provided:
   x-averaged symbol (tolerance 1e-12, fixed iteration cap), updating the
   iterate's buffer in place.
 
-All three, and reduce.solve_reduced on its stacked companion blocks, share
-one stepping core: per-mode exact, CN and RK4 updates, one forcing resolver,
-and one driver (_integrate) that snaps dt, picks the "auto" scheme, builds
-a t-independent generator's matrices and propagators once, and substeps RK4
-past its stability cap.
+All three, and reduce.solve_reduced on its packed companion rows, share one
+stepping core (exact, CN and RK4 updates per entry or per block) and one
+driver (_integrate) that snaps dt, picks the "auto" scheme, builds a
+t-independent generator's operand or propagators once, and substeps RK4
+past its stability cap.  A diagonal generator's exact step is one per-entry
+product over the buffer.
 
 Energy diagnostics follow the L^2 identity d/dt ||v||^2 = 2 Re(Kv, v)
 + 2 Re(f, v) via finite differences, and the energy estimate
@@ -110,11 +111,17 @@ def _mode_matrix(sym: Symbol, t: float, rep) -> np.ndarray:
 
 # ---------------------------------------------------------------- stepping core
 #
-# A mode is a coefficient block V with generator matrix A: d x d here, the
-# (m d) x d stack of a companion system in the reduce module.
+# The state is an (m, size) buffer whose row j is one packed field: m = 1 for
+# evolve, u_1..u_m of a companion system in the reduce module, whose forcing
+# (0, ..., 0, f) enters the last row.  matrix(t, rep) is the (m d) x (m d)
+# generator block.  When each of its d x d blocks is diagonal at every rep,
+# it couples entry (r, c) of a block only across the m rows; its operand is
+# then the (m, m, size) array of these per-entry m x m matrices, else the
+# tuple of blocks.  Exact propagators (P, Q) take the same two forms; a 1-D
+# block there is a diagonal.
 
 def _forcing_at(forcing, t: float):
-    """Forcing at time t: None, a constant (field or blocks), or a callable."""
+    """Forcing at time t: None, a constant field, or a callable."""
     return forcing(t) if callable(forcing) else forcing
 
 
@@ -132,37 +139,72 @@ def _phi1(w: np.ndarray) -> np.ndarray:
     return np.where(small, series, out)
 
 
+def _operand(layout, m: int, matrix, t: float):
+    """The generator at t in the stepping core's form (see above)."""
+    mats = [matrix(t, rep) for rep in layout.reps]
+    rows = [np.diagonal(A.reshape(m, len(A) // m, m, -1), axis1=1, axis2=3)
+            for A in mats]
+    if any(np.count_nonzero(A) != np.count_nonzero(M) for A, M in zip(mats, rows)):
+        return tuple(mats)
+    return np.repeat(np.concatenate(rows, axis=-1), layout.row_sizes, axis=-1)
+
+
 def _exact_propagators(A: np.ndarray, dt: float, expm=expm):
-    """Return (kind, P, Q) with v' = P v + Q f for one step of v' = A v + f:
-    elementwise for diagonal A, else from exp [[dt A, dt I], [0, 0]]."""
-    if _is_diagonal(A):
+    """(P, Q) with v' = P v + Q f for one step of v' = A v + f: elementwise
+    (1-D) for diagonal A, else from exp [[dt A, dt I], [0, 0]], which also
+    takes a stack of matrices in one call."""
+    if A.ndim == 2 and _is_diagonal(A):
         a = np.diagonal(A)
-        return ("diag", np.exp(dt * a), dt * _phi1(dt * a))
-    d = A.shape[0]
-    big = np.zeros((2 * d, 2 * d), dtype=complex)
-    big[:d, :d] = dt * A
-    big[:d, d:] = dt * np.eye(d)
+        return np.exp(dt * a), dt * _phi1(dt * a)
+    d = A.shape[-1]
+    big = np.zeros(A.shape[:-2] + (2 * d, 2 * d), dtype=complex)
+    big[..., :d, :d] = dt * A
+    big[..., :d, d:] = dt * np.eye(d)
     E = expm(big)
-    return ("dense", E[:d, :d], E[:d, d:])
+    return E[..., :d, :d], E[..., :d, d:]
 
 
-def _exact_update(propagators, V: np.ndarray, F) -> np.ndarray:
-    kind, P, Q = propagators
-    if kind == "diag":
-        new = P[:, None] * V
-        return new if F is None else new + Q[:, None] * F
-    new = P @ V
-    return new if F is None else new + Q @ F
+def _propagators(op, layout, dt: float, expm=expm):
+    """Exact (P, Q) of an operand's step: per block, or per entry from one
+    batched exponential of each block row's m x m matrix."""
+    if isinstance(op, tuple):
+        return tuple(zip(*(_exact_propagators(A, dt, expm) for A in op)))
+    sizes = layout.row_sizes
+    rows = op[..., np.cumsum(sizes) - sizes]
+    if len(op) == 1:       # elementwise, as for a diagonal block
+        P, Q = np.exp(dt * rows), dt * _phi1(dt * rows)
+    else:
+        P, Q = (X.transpose(1, 2, 0) for X in
+                _exact_propagators(rows.transpose(2, 0, 1), dt, expm))
+    return np.repeat(P, sizes, axis=-1), np.repeat(Q, sizes, axis=-1)
 
 
-def _cn_update(A: np.ndarray, V: np.ndarray, F, dt: float) -> np.ndarray:
-    """Solve (I - dt/2 A) V' = (I + dt/2 A) V + dt F; diagonal A directly."""
-    rhs = V + (0.5 * dt) * (A @ V)
-    if F is not None:
-        rhs = rhs + dt * F
-    if _is_diagonal(A):
-        return rhs / (1.0 - 0.5 * dt * np.diagonal(A))[:, None]
-    return np.linalg.solve(np.eye(A.shape[0]) - 0.5 * dt * A, rhs)
+def _apply_op(op, U: np.ndarray, layout) -> np.ndarray:
+    """A U for an operand A, as a fresh buffer."""
+    if not isinstance(op, tuple):
+        out = op[:, 0] * U[0]
+        for j in range(1, len(U)):
+            out += op[:, j] * U[j]
+        return out
+    out = np.empty_like(U)
+    for (sl, d), A in zip(layout.slots.values(), op):   # each rep's (m d) x d block
+        V = U[:, sl].reshape(-1, d)
+        out[:, sl] = (A[:, None] * V if A.ndim == 1 else A @ V).reshape(len(U), -1)
+    return out
+
+
+def _cn_solve(op, rhs: np.ndarray, dt: float, layout) -> np.ndarray:
+    """Solve (I - dt/2 A) X = rhs; diagonal blocks directly."""
+    if not isinstance(op, tuple):
+        lhs = (np.eye(len(op))[..., None] - 0.5 * dt * op).transpose(2, 0, 1)
+        return np.linalg.solve(lhs, rhs.T[..., None])[..., 0].T.copy()
+    out = np.empty_like(rhs)
+    for (sl, d), A in zip(layout.slots.values(), op):
+        R = rhs[:, sl].reshape(-1, d)
+        X = (R / (1.0 - 0.5 * dt * np.diagonal(A))[:, None] if _is_diagonal(A)
+             else np.linalg.solve(np.eye(A.shape[0]) - 0.5 * dt * A, R))
+        out[:, sl] = X.reshape(len(rhs), -1)
+    return out
 
 
 def _rk4(rhs, v, t: float, dt: float):
@@ -174,36 +216,41 @@ def _rk4(rhs, v, t: float, dt: float):
     return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _step_modes(scheme: str, state, matrix, forcing, t: float, dt: float,
-                propagators):
-    """One step of v' = A(t) v + f(t) for each mode of a SpectralField or a
-    dict of blocks (returned as the same type).  matrix(t, rep) gives A,
-    propagators(rep, t, dt) the exact (kind, P, Q) of the step from t."""
+def _step_modes(scheme: str, U: np.ndarray, layout, operand, forcing,
+                t: float, dt: float, propagators) -> np.ndarray:
+    """One step of U' = A(t) U + (0, ..., 0, f(t)) on an (m, size) buffer;
+    operand(t) gives A and propagators(t, dt) the exact (P, Q) of the step
+    from t, both in the stepping core's forms.  Returns a fresh buffer."""
     tm = t + 0.5 * dt
-    fm = _forcing_at(forcing, tm)
-    if scheme == "rk4":
-        fs = {t: _forcing_at(forcing, t), tm: fm, t + dt: _forcing_at(forcing, t + dt)}
-    out = state.zeros_like() if isinstance(state, SpectralField) else {}
-    blocks = out.coeffs if isinstance(state, SpectralField) else out
-    for rep, V in state.items():
-        Fm = None if fm is None else fm[rep]
-        if scheme == "exact":
-            blocks[rep] = _exact_update(propagators(rep, t, dt), V, Fm)
-        elif scheme == "cn":
-            blocks[rep] = _cn_update(matrix(tm, rep), V, Fm, dt)
-        else:
-            def rhs(tau, W, rep=rep):
-                f = fs[tau]
-                dW = matrix(tau, rep) @ W
-                return dW if f is None else dW + f[rep]
-            blocks[rep] = _rk4(rhs, V, t, dt)
-    return out
+
+    def force(tau):       # (0, ..., 0, f(tau)) as a buffer, or None
+        f = _forcing_at(forcing, tau)
+        return None if f is None else np.concatenate([np.zeros_like(U[1:]),
+                                                      f.data[None]])
+
+    if scheme == "exact":
+        (P, Q), F = propagators(t, dt), force(tm)
+        new = _apply_op(P, U, layout)
+        return new if F is None else new + _apply_op(Q, F, layout)
+    if scheme == "cn":
+        A, F = operand(tm), force(tm)
+        rhs = U + (0.5 * dt) * _apply_op(A, U, layout)
+        if F is not None:
+            rhs = rhs + dt * F
+        return _cn_solve(A, rhs, dt, layout)
+    fs = {tau: force(tau) for tau in (t, tm, t + dt)}
+
+    def rhs(tau, W):
+        dW = _apply_op(operand(tau), W, layout)
+        return dW if fs[tau] is None else dW + fs[tau]
+    return _rk4(rhs, U, t, dt)
 
 
-def _invariant_propagators(sym: Symbol):
-    """(rep, t, dt) -> exact propagators of sym frozen at the step midpoint."""
-    return lambda rep, t, dt: _exact_propagators(
-        _mode_matrix(sym, t + 0.5 * dt, rep), dt)
+def _step_field(scheme: str, state: SpectralField, operand, forcing, t: float,
+                dt: float, propagators=None) -> SpectralField:
+    """_step_modes on one field (m = 1)."""
+    return state.with_data(_step_modes(scheme, state.data[None], state.layout,
+                                       operand, forcing, t, dt, propagators)[0])
 
 
 # ---------------------------------------------------------------- steppers
@@ -213,8 +260,9 @@ def step_exact_invariant(state: SpectralField, sym: Symbol, forcing=None,
     """One exact per-mode exponential step; requires an x-independent symbol."""
     if not sym.x_independent:
         raise ValueError("exact stepper needs an x-independent symbol")
-    return _step_modes("exact", state, None, forcing, t, dt,
-                       _invariant_propagators(sym))
+    layout = state.layout
+    return _step_field("exact", state, None, forcing, t, dt, lambda tau, h: _propagators(
+        _operand(layout, 1, partial(_mode_matrix, sym), tau + 0.5 * h), layout, h))
 
 
 def step_rk4(state: SpectralField, sym: Symbol, forcing=None,
@@ -239,8 +287,9 @@ def step_crank_nicolson(state: SpectralField, sym: Symbol, forcing=None,
     the x-averaged symbol; non-convergence raises SolverError.
     """
     if sym.x_independent:
-        return _step_modes("cn", state, partial(_mode_matrix, sym), forcing,
-                           t, dt, None)
+        # block by block: a per-entry product rounds unlike the matrix product
+        return _step_field("cn", state, lambda tau: tuple(
+            _mode_matrix(sym, tau, rep) for rep in state.layout.reps), forcing, t, dt)
     tm = t + 0.5 * dt
     fmid = _forcing_at(forcing, tm)
     rhs = state + (0.5 * dt) * apply_spectral(sym, tm, state)
@@ -288,15 +337,16 @@ def _rk4_substeps(matrix, reps, t_independent: bool, T: float, dt: float) -> int
     return 1
 
 
-def _integrate(v0, T: float, dt: float, scheme: str, *, x_independent: bool,
-               t_independent: bool, forcing, matrix, propagators, step=None,
-               record=lambda v: v):
-    """Driver of evolve and reduce.solve_reduced; returns (scheme, dt,
-    [record(v0), record(v1), ...]).  dt snaps to at least two whole steps;
-    "auto" is exact for x- and t-independent generators, CN otherwise; a
-    t-independent generator's matrices, and its exact propagators when the
-    forcing is not callable, are built once per rep; RK4 substeps past its
-    cap.  step(scheme, v, t, h) defaults to _step_modes."""
+def _integrate(U0: np.ndarray, layout, T: float, dt: float, scheme: str, *,
+               x_independent: bool, t_independent: bool, forcing, matrix,
+               expm=expm, step=None, record=lambda U: U):
+    """Driver of evolve and reduce.solve_reduced on an (m, size) buffer (see
+    the stepping core); returns (scheme, dt, [record(U0), record(U1), ...]).
+    dt snaps to at least two whole steps; "auto" is exact for x- and
+    t-independent generators, CN otherwise; a t-independent generator's
+    matrices, operand or exact propagators are built once; RK4 substeps past
+    its cap.  step(scheme, U, t, h) defaults to _step_modes, which also takes
+    every cached exact step."""
     if dt > T:
         raise ValueError("dt exceeds the horizon")
     n_steps = max(2, int(round(T / dt)))
@@ -308,29 +358,34 @@ def _integrate(v0, T: float, dt: float, scheme: str, *, x_independent: bool,
     if scheme == "exact" and not x_independent:
         raise ValueError("exact stepper needs an x-independent symbol")
 
-    reps = [rep for rep, _ in v0.items()]
     if t_independent and scheme != "exact":
-        mats = {rep: matrix(0.0, rep) for rep in reps}
+        mats = {rep: matrix(0.0, rep) for rep in layout.reps}
         matrix = lambda t, rep: mats[rep]  # noqa: E731
     substeps = 1
     if scheme == "rk4":
-        substeps = _rk4_substeps(matrix, reps, t_independent, T, dt)
-    if scheme == "exact" and t_independent and not callable(forcing):
-        cache = {rep: propagators(rep, 0.0, dt) for rep in reps}
-        # cached propagators are applied mode by mode for every caller
-        propagators, step = (lambda rep, t, h: cache[rep]), None
-    if step is None:
-        def step(scheme, v, t, h):
-            return _step_modes(scheme, v, matrix, forcing, t, h, propagators)
+        substeps = _rk4_substeps(matrix, layout.reps, t_independent, T, dt)
+    operand = partial(_operand, layout, len(U0), matrix)
 
-    trajectory = [record(v0)]
-    v = v0
+    def propagators(t, h):
+        return _propagators(operand(t + 0.5 * h), layout, h, expm)
+    if t_independent and scheme == "exact":
+        props = propagators(0.0, dt)
+        propagators, step = (lambda t, h: props), None
+    elif t_independent and step is None:
+        op = operand(0.0)
+        operand = lambda t: op  # noqa: E731
+    if step is None:
+        def step(scheme, U, t, h):
+            return _step_modes(scheme, U, layout, operand, forcing, t, h, propagators)
+
+    trajectory = [record(U0)]
+    U = U0
     h = dt / substeps
     for n in range(n_steps):
         t = n * dt
         for k in range(substeps):
-            v = step(scheme, v, t + k * h, h)
-        trajectory.append(record(v))
+            U = step(scheme, U, t + k * h, h)
+        trajectory.append(record(U))
     return scheme, dt, trajectory
 
 
@@ -368,11 +423,13 @@ def evolve(problem: EvolutionProblem, scheme: str = "auto", dt: float = 1e-2,
     sym, u0 = problem.sym, problem.u0
     if sym.group != u0.group:
         raise ValueError("symbol and state group mismatch")
+    field = lambda U: u0.with_data(U[0])  # noqa: E731
     scheme, dt, trajectory = _integrate(
-        u0.copy(), problem.T, dt, scheme, x_independent=sym.x_independent,
-        t_independent=sym.t_independent, forcing=problem.forcing,
-        matrix=partial(_mode_matrix, sym), propagators=_invariant_propagators(sym),
-        step=lambda scheme, v, t, h: _STEPPERS[scheme](v, sym, problem.forcing, t, h))
+        u0.data[None].copy(), u0.layout, problem.T, dt, scheme,
+        x_independent=sym.x_independent, t_independent=sym.t_independent,
+        forcing=problem.forcing, matrix=partial(_mode_matrix, sym),
+        step=lambda scheme, U, t, h: _STEPPERS[scheme](
+            field(U), sym, problem.forcing, t, h).data[None], record=field)
 
     if classification is None:
         classification = classify_problem(sym, T=problem.T)

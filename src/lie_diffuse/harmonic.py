@@ -195,7 +195,8 @@ class GridField:
 
 class FieldLayout:
     """Where each representation's block sits in a packed buffer: slots[rep]
-    is (slice, d); dims holds d_xi at every entry (the Plancherel weight)."""
+    is (slice, d); dims holds d_xi at every entry (the Plancherel weight),
+    row_sizes the length d of each block row, row after row."""
 
     def __init__(self, group: str, two_L: int):
         self.reps = tuple(dual_enumerate(group, two_L))
@@ -206,6 +207,9 @@ class FieldLayout:
         self.size = ends[-1]
         self.dims = np.repeat([float(rep.dim) for rep in self.reps], sizes)
         self.dims.flags.writeable = False
+        dims = [rep.dim for rep in self.reps]
+        self.row_sizes = np.repeat(dims, dims)
+        self.row_sizes.flags.writeable = False
 
 
 field_layout = lru_cache(maxsize=None)(FieldLayout)   # interned per (group, two_L)

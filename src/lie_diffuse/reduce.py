@@ -15,28 +15,25 @@ with Gamma on the superdiagonal of B and last-row blocks
 b_i = a_{m-i+1} Gamma^{i-m}, all of order one, so the system is genuinely
 first order in time and first order in frequency.
 
-Per representation the blocks are plain matrices, so the stacked (m d) x d
-coefficient blocks go through the evolve module's stepping code: the same
-exact-exponential / Crank-Nicolson / RK4 updates and the same driver, RK4
-substepping included.  Only the companion propagators are built here.
+The state is one (m, size) buffer whose row j is the packed u_{j+1}; the
+forcing enters its last row.  When every coefficient is diagonal at every
+representation (no X1, X2, d+ or d- term), B couples entry (r, c) of a block
+only across u_1..u_m, and the evolve module's stepping core steps with these
+per-entry m x m matrices, the exact propagators coming from one batched expm
+of every block row's augmented 2m x 2m matrix.  A dense coefficient keeps
+the per-representation (m d) x (m d) blocks on the same buffer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
 
 from .harmonic import SpectralField
 from .symbol import Symbol, bessel_weight
-from .evolve import (
-    _exact_propagators,
-    _forcing_at,
-    _integrate,
-    weighted_field,
-)
+from .evolve import _forcing_at, _integrate, weighted_field
 
 
 @dataclass
@@ -133,50 +130,18 @@ def reduce_to_first_order(p: HigherOrderProblem,
                             p.forcing, p.T, gamma_kind, t_indep)
 
 
-def _last_slot(sys: FirstOrderSystem, f):
-    """The stacked forcing (0, ..., 0, f) as per-representation blocks; a
-    callable f gives a callable, None stays None."""
-    if f is None:
-        return None
-    if callable(f):
-        return lambda t: _last_slot(sys, f(t))
-    out = {}
-    for rep, mat in f.items():
-        d = rep.dim
-        F = np.zeros((sys.m * d, d), dtype=complex)
-        F[(sys.m - 1) * d:] = mat
-        out[rep] = F
-    return out
-
-
-def _exact_block(sys: FirstOrderSystem, rep, t: float, dt: float):
-    """Exact propagators of the companion block frozen at the step midpoint."""
-    # this module's expm, which perfbench's tracer counts as reduce.expm
-    return _exact_propagators(sys.block_matrix(t + 0.5 * dt, rep), dt, expm)
-
-
 def solve_reduced(sys: FirstOrderSystem, scheme: str = "auto",
                   dt: float = 1e-3):
-    """Integrate the companion system; returns the stacked trajectory.
-
-    Each trajectory entry is a list of m SpectralFields (u_1..u_m).  The
-    stacked (m d) x d blocks go through the evolve module's stepping core
-    and driver: the same dt snapping, scheme choice, per-mode exact /
-    Crank-Nicolson / RK4 updates, propagator caching and RK4 substepping.
-    """
-
-    def snapshot(state):
-        return [SpectralField(sys.group, sys.two_L, {
-            rep: V[j * rep.dim:(j + 1) * rep.dim] for rep, V in state.items()})
-            for j in range(sys.m)]
-
-    state = {rep: np.concatenate([F[rep] for F in sys.initial], axis=0)
-             for rep in sys.initial[0].coeffs}
+    """Integrate the companion system through the evolve module's driver.
+    Each trajectory entry is the list of m SpectralFields u_1..u_m, views
+    of the rows of that step's (m, size) buffer."""
+    base = sys.initial[0]
     _, _, trajectory = _integrate(
-        state, sys.T, dt, scheme, x_independent=True,
-        t_independent=sys.t_independent, forcing=_last_slot(sys, sys.forcing),
-        matrix=sys.block_matrix,
-        propagators=partial(_exact_block, sys), record=snapshot)
+        np.stack([F.data for F in sys.initial]), base.layout, sys.T, dt, scheme,
+        x_independent=True, t_independent=sys.t_independent, forcing=sys.forcing,
+        # this module's expm, which perfbench's tracer counts as reduce.expm
+        matrix=sys.block_matrix, expm=expm,
+        record=lambda U: [base.with_data(row) for row in U])
     return trajectory
 
 

@@ -325,7 +325,8 @@ def build_operator_symbol(spec: OperatorSpec) -> Symbol:
 
     Spatial coefficients given as GridFields are Fourier-transformed at the
     spec bandlimit; the checks reject sub-Laplacian or vector-field bases
-    off SU(2) and negative diffusion exponents.
+    off SU(2), negative diffusion exponents, and an exponent other than 1 on
+    a vector-field or id base.
     """
     if spec.group not in (SU2, TORUS1):
         raise ValueError(f"unknown group {spec.group!r}")
@@ -336,6 +337,9 @@ def build_operator_symbol(spec: OperatorSpec) -> Symbol:
         if term.base in ("laplace", "sublaplace") and term.exponent < 0:
             raise ValueError(
                 f"negative exponent {term.exponent} for {term.base}")
+        if term.base in VECTOR_FIELDS + ("id",) and term.exponent != 1.0:
+            raise ValueError(f"base {term.base!r} takes no exponent "
+                             f"(got {term.exponent})")
         if spec.group == TORUS1 and term.base in VECTOR_FIELDS + ("sublaplace", "sbessel"):
             raise ValueError(f"base {term.base!r} is defined on SU(2) only")
         space = term.space

@@ -208,8 +208,10 @@ def strong_ellipticity_per_sample(sym, T=1.0, time_samples=17, scan_two_L=None,
 #
 # evolve() on the exact scheme and solve_reduced under every scheme, as
 # separate loops with their own propagators.  The library's shared stepping
-# core does the same floating-point operations in the same order, so its
-# trajectories must match these bit for bit.
+# core does the same floating-point operations in the same order for evolve
+# and for a companion system with a dense coefficient, so those trajectories
+# must match these bit for bit.  A companion whose blocks are all diagonal is
+# stepped entry by entry with m x m matrices, which round differently.
 
 def _phi1(w):
     w = np.asarray(w, dtype=complex)

@@ -223,16 +223,26 @@ def test_third_order_reduction_round_trip():
 
 # ---------------------------------------------------------------- shared stepping core
 
-def order_m_system(m, forcing, t_dependent, two_L=2, T=0.2):
-    """Damped order-m problem with random data; a_2 may carry a time profile."""
-    def sym(term):
-        return build_operator_symbol(OperatorSpec(SU2, two_L, [term]))
+# a_1 and a_2 of the damped order-m problem: diagonal blocks (per-entry
+# stepping), row-dependent diagonal blocks, and a dense a_1 (block path)
+COEFFICIENTS = {
+    "diagonal": ([("laplace", 0.5, -0.2)], "laplace"),
+    "sublaplace": ([("laplace", 0.5, -0.2)], "sublaplace"),
+    "dense": ([("laplace", 0.5, -0.2), ("X1", 1.0, 0.1)], "laplace"),
+}
 
+
+def order_m_system(m, forcing, t_dependent, two_L=2, T=0.2, kind="diagonal"):
+    """Damped order-m problem with random data; a_2 may carry a time profile."""
+    def sym(terms):
+        return build_operator_symbol(OperatorSpec(SU2, two_L, terms))
+
+    a1, a2 = COEFFICIENTS[kind]
     profile = (lambda t: 1.0 + 0.5 * math.sin(3.0 * t)) if t_dependent else None
-    coeffs = [sym(OperatorTerm("laplace", exponent=0.5, const=-0.2)),
-              sym(OperatorTerm("laplace", const=-1.0, profile=profile))]
+    coeffs = [sym([OperatorTerm(b, exponent=e, const=c) for b, e, c in a1]),
+              sym([OperatorTerm(a2, const=-1.0, profile=profile)])]
     if m == 3:
-        coeffs.append(sym(OperatorTerm("bessel", exponent=3.0, const=-1.0)))
+        coeffs.append(sym([OperatorTerm("bessel", exponent=3.0, const=-1.0)]))
     data = [random_field(SU2, two_L, seed=40 + j) for j in range(m)]
     f = random_field(SU2, two_L, seed=50)
     forcing = {"none": None, "constant": f,
@@ -246,15 +256,37 @@ def order_m_system(m, forcing, t_dependent, two_L=2, T=0.2):
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("scheme", ["exact", "cn", "rk4"])
 def test_solve_reduced_matches_stacked_block_loop(scheme, m, forcing, t_dependent):
-    """Bit for bit the same trajectory as stepping each stacked block alone."""
-    sys = order_m_system(m, forcing, t_dependent)
-    got = solve_reduced(sys, scheme=scheme, dt=0.02)
-    want = solve_reduced_loop(sys, scheme, 0.02)
-    assert len(got) == len(want) == 11
-    for g_fields, w_fields in zip(got, want):
-        assert len(g_fields) == m
-        for G, W in zip(g_fields, w_fields):
-            assert all(np.array_equal(G[rep], W[rep]) for rep in W.coeffs)
+    """The trajectory of stepping each stacked block alone: bit for bit on
+    the block path (dense a_1), and to 1e-13 of each field's largest
+    coefficient on the per-entry path, whose m x m products round
+    differently from the (m d) x (m d) ones."""
+    for kind in COEFFICIENTS:
+        sys = order_m_system(m, forcing, t_dependent, kind=kind)
+        got = solve_reduced(sys, scheme=scheme, dt=0.02)
+        want = solve_reduced_loop(sys, scheme, 0.02)
+        assert len(got) == len(want) == 11
+        for g_fields, w_fields in zip(got, want):
+            assert len(g_fields) == m
+            for G, W in zip(g_fields, w_fields):
+                if kind == "dense":
+                    assert all(np.array_equal(G[rep], W[rep]) for rep in W.coeffs)
+                else:
+                    err = max(np.abs(G[rep] - W[rep]).max() for rep in W.coeffs)
+                    scale = max(np.abs(w).max() for w in W.coeffs.values())
+                    assert err <= 1e-13 * scale
+
+
+def test_solve_reduced_leaves_the_initial_data_alone():
+    """trajectory[0] and sys.initial hold the initial data after the solve,
+    and the steps never wrote into either."""
+    sys = order_m_system(2, "constant", False)
+    before = [F.data.copy() for F in sys.initial]
+    traj = solve_reduced(sys, scheme="exact", dt=0.02)
+    for j, F in enumerate(sys.initial):
+        assert np.array_equal(F.data, before[j])
+        assert np.array_equal(traj[0][j].data, before[j])
+        assert not np.shares_memory(traj[0][j].data, F.data)
+    assert np.abs(traj[-1][0].data - before[0]).max() > 0.0
 
 
 def test_rk4_substeps_past_its_stability_cap():

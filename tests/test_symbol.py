@@ -157,6 +157,16 @@ def test_build_rejects_negative_diffusion_exponent():
         build_operator_symbol(OperatorSpec(SU2, 4, [OperatorTerm("laplace", -1.0)]))
 
 
+def test_build_rejects_exponent_on_vector_field():
+    with pytest.raises(ValueError, match="'X1' takes no exponent"):
+        build_operator_symbol(OperatorSpec(SU2, 4, [OperatorTerm("X1", exponent=2.0)]))
+
+
+def test_build_rejects_exponent_on_id():
+    with pytest.raises(ValueError, match="'id' takes no exponent"):
+        build_operator_symbol(OperatorSpec(SU2, 4, [OperatorTerm("id", exponent=3.0)]))
+
+
 def test_build_rejects_su2_bases_on_torus():
     with pytest.raises(ValueError, match="SU\\(2\\)"):
         build_operator_symbol(OperatorSpec(TORUS1, 4, [OperatorTerm("iX3")]))

@@ -57,6 +57,10 @@ CONFIGS = [
     ("reduce-exact", "reduce", REDUCE),
     ("reduce-cn", "reduce", {**REDUCE, "scheme": "cn", "dt": 0.002}),
     ("reduce-rk4", "reduce", {**REDUCE, "scheme": "rk4"}),
+    ("reduce-dense", "reduce",
+     {**REDUCE, "coefficients": ["-0.2*laplace^1/2 + 0.1*X1", "-1*laplace"]}),
+    ("reduce-sublaplace", "reduce",
+     {**REDUCE, "coefficients": ["-0.2*laplace^1/2", "-1*sublaplace"]}),
     ("reduce-exact-m3", "reduce",
      {"time_order": 3,
       "coefficients": ["-1*laplace^1/2", "-1*laplace", "-0.1*laplace^3/2"],
