@@ -22,13 +22,16 @@ and scalar time profiles.  Products of a spatial coefficient with a
 bandlimited state are formed on a grid resolving the combined bandwidth and
 projected back, which avoids aliasing.
 
-On a packed SpectralField, a symbol or base whose matrices are all diagonal
-(sums of laplace, sublaplace, bessel, sbessel, id, d0, X3, iX3) acts as one
-per-entry vector times the buffer: entry (r, c) of a block is scaled by the
-diagonal at r, the numbers of the diagonal-matrix product.  Otherwise (X1,
-X2, d+, d- terms) each block is multiplied by its matrix.  Base symbols and
-Bessel weights are built once per layout; an x- and t-independent symbol is
-evaluated once per representation (Symbol.matrix) and reused.
+Every base is diagonal or a ladder matrix, so a structured symbol is held
+per representation as its (..., 3, d) bands: row r of the sub, main and
+super band holds A[r, r-1], A[r, r] and A[r, r+1].  One assembly (_assemble)
+sums coefficient * bands in term order for the evaluator (a dense matrix is
+the fill of its bands), averaged_matrix, the operands and the scans.  On a
+packed SpectralField, entry (r, c) of a block takes main[r] x[r, c] +
+sub[r] x[r-1, c] + super[r] x[r+1, c] through the layout's row-shift
+indices, or main[r] x[r, c] alone when the off-bands vanish; only a bare
+evaluator's blocks are multiplied as matrices.  Base bands are built once
+per representation, operands once per layout (for a t-independent symbol).
 """
 
 from __future__ import annotations
@@ -60,19 +63,33 @@ _HERMITIAN_BASES = _DIAGONAL_BASES + ("d0", "iX3")
 
 @lru_cache(maxsize=None)
 def _ladder(two_ell: int):
-    """Jz, J+, J- for the given doubled degree, increasing-j basis."""
+    """Bands of Jz, J+, J- for the given doubled degree, increasing-j basis."""
     j = np.arange(-two_ell, two_ell + 1, 2) / 2.0
     ell = two_ell / 2.0
-    d = two_ell + 1
-    Jz = np.diag(j).astype(complex)
-    Jp = np.zeros((d, d), dtype=complex)
-    for i in range(d - 1):
-        Jp[i + 1, i] = np.sqrt(ell * (ell + 1) - j[i] * (j[i] + 1))
-    Jm = Jp.conj().T.copy()
-    Jz.flags.writeable = False
-    Jp.flags.writeable = False
-    Jm.flags.writeable = False
-    return Jz, Jp, Jm
+    Jz, Jp = np.zeros((2, 3, two_ell + 1), dtype=complex)
+    Jz[1] = j
+    Jp[0, 1:] = np.sqrt(ell * (ell + 1) - j[:-1] * (j[:-1] + 1))
+    return Jz, Jp, _adjoint(Jp)
+
+
+def _adjoint(bands: np.ndarray) -> np.ndarray:
+    """Bands of the conjugate transpose of (..., 3, d) bands."""
+    out = np.zeros_like(bands)
+    out[..., 0, 1:] = bands[..., 2, :-1].conj()
+    out[..., 1, :] = bands[..., 1, :].conj()
+    out[..., 2, :-1] = bands[..., 0, 1:].conj()
+    return out
+
+
+def _densify(bands: np.ndarray) -> np.ndarray:
+    """The (..., d, d) matrices with these (..., 3, d) bands, +0 elsewhere."""
+    d = bands.shape[-1]
+    i = np.arange(d)
+    out = np.zeros(bands.shape[:-2] + (d, d), dtype=complex)
+    out[..., i[1:], i[:-1]] = bands[..., 0, 1:]
+    out[..., i, i] = bands[..., 1, :]
+    out[..., i[:-1], i[1:]] = bands[..., 2, :-1]
+    return out
 
 
 def laplace_symbol(rep: RepIndex) -> np.ndarray:
@@ -96,24 +113,9 @@ def sublaplace_symbol(rep: RepIndex) -> np.ndarray:
 
 def vector_field_symbol(name: str, rep: RepIndex) -> np.ndarray:
     """Symbol of a first-order generator; see the module docstring for names."""
-    if rep.group != SU2:
-        raise ValueError("vector fields are defined on SU(2) only")
-    Jz, Jp, Jm = _ladder(rep.two_ell)
-    if name == "d0":
-        return Jz.copy()
-    if name == "d+":
-        return Jp.copy()
-    if name == "d-":
-        return Jm.copy()
-    if name == "X1":
-        return -0.5j * (Jp + Jm)
-    if name == "X2":
-        return 0.5 * (Jm - Jp)
-    if name == "X3":
-        return -1j * Jz
-    if name == "iX3":
-        return Jz.copy()
-    raise ValueError(f"unknown vector field {name!r}")
+    if name not in VECTOR_FIELDS:
+        raise ValueError(f"unknown vector field {name!r}")
+    return _densify(_bands(rep, name, 1.0))
 
 
 def bessel_weight(rep: RepIndex, s: float, kind: str = "elliptic") -> np.ndarray:
@@ -162,54 +164,78 @@ def fractional_power(M: np.ndarray, p: float) -> np.ndarray:
     return (V * ev ** p) @ V.conj().T
 
 
-def _base_matrix(base: str, exponent: float, rep: RepIndex) -> np.ndarray:
-    if base == "id":
-        return np.eye(rep.dim, dtype=complex)
-    if base in ("laplace", "sublaplace"):
+@lru_cache(maxsize=4096)
+def _bands(rep: RepIndex, base: str, exponent: float) -> np.ndarray:
+    """Read-only (3, d) bands of a base symbol at rep (see the module
+    docstring); entries past the block edges are 0."""
+    out = np.zeros((3, rep.dim), dtype=complex)
+    if base in VECTOR_FIELDS:
+        if rep.group != SU2:
+            raise ValueError("vector fields are defined on SU(2) only")
+        Jz, Jp, Jm = _ladder(rep.two_ell)
+        out = {"d0": Jz, "iX3": Jz, "d+": Jp, "d-": Jm, "X3": -1j * Jz,
+               "X1": -0.5j * (Jp + Jm), "X2": 0.5 * (Jm - Jp)}[base]
+    elif base == "id":
+        out[1] = 1.0
+    elif base in ("laplace", "sublaplace"):
         if exponent < 0:
             raise ValueError(f"negative exponent {exponent} for {base}")
         mat = laplace_symbol(rep) if base == "laplace" else sublaplace_symbol(rep)
-        diag = np.real(np.diagonal(mat))
-        return np.diag(diag ** exponent).astype(complex)
-    if base == "bessel":
-        return bessel_weight(rep, exponent, "elliptic")
-    if base == "sbessel":
-        return bessel_weight(rep, exponent, "subelliptic")
-    if base in VECTOR_FIELDS:
-        return vector_field_symbol(base, rep)
-    raise ValueError(f"unknown base {base!r}")
+        out[1] = np.real(np.diagonal(mat)) ** exponent
+    elif base in ("bessel", "sbessel"):
+        kind = "elliptic" if base == "bessel" else "subelliptic"
+        out[1] = np.diagonal(bessel_weight(rep, exponent, kind))
+    else:
+        raise ValueError(f"unknown base {base!r}")
+    out.flags.writeable = False
+    return out
 
 
-def _operand(mats):
-    """One matrix per representation, as _apply_operand takes it: when all
-    are diagonal, the per-entry vector (entry (r, c) of a block takes
-    A[r, r], so the product is the diagonal-matrix product), else mats."""
-    if any(np.any(A - np.diag(np.diagonal(A))) for A in mats):
-        return tuple(mats)
-    return np.concatenate([np.repeat(np.diagonal(A), len(A)) for A in mats])
+def _assemble(terms, coefs, rep: RepIndex) -> np.ndarray:
+    """sum_k coefs[k] * bands of terms[k] at rep, in term order: (3, d), or
+    (n_x, 3, d) when a coefficient is an (n_x, 1, 1) column over x-nodes.
+    Each entry is the dense sum's, entry for entry."""
+    shape = np.broadcast_shapes((3, rep.dim), *(np.shape(c) for c in coefs))
+    out = np.zeros(shape, dtype=complex)
+    for c, term in zip(coefs, terms):
+        out += c * _bands(rep, term.base, term.exponent)
+    return out
+
+
+def _operand(bands, layout) -> np.ndarray:
+    """Per-entry operand over a layout from one (3, d) band stack per
+    representation: row k at entry (r, c) of a block is bands[k][r], and
+    only the main row is kept when both off-diagonals vanish."""
+    rows = np.concatenate(bands, axis=1)
+    if not (rows[0].any() or rows[2].any()):
+        rows = rows[1]
+    return np.repeat(rows, layout.row_sizes, axis=-1)
 
 
 def _apply_operand(op, F: SpectralField) -> SpectralField:
-    if isinstance(op, np.ndarray):
-        return F.with_data(op * F.data)
-    out = F.zeros_like()
-    for (rep, mat), A in zip(F.items(), op):
-        np.matmul(A, mat, out=out[rep])
-    return out
+    if isinstance(op, tuple):
+        out = F.zeros_like()
+        for (rep, mat), A in zip(F.items(), op):
+            np.matmul(A, mat, out=out[rep])
+        return out
+    x, lay = F.data, F.layout
+    if op.ndim == 1:
+        return F.with_data(op * x)
+    return F.with_data(op[1] * x + op[0] * x[lay.prev_row]
+                       + op[2] * x[lay.next_row])
 
 
 @lru_cache(maxsize=32)
 def _base_operand(base: str, exponent: float, group: str, two_L: int):
     """_operand of a base symbol over the (group, two_L) layout, read-only."""
-    op = _operand([_base_matrix(base, exponent, rep)
-                   for rep in field_layout(group, two_L).reps])
-    for a in (op,) if isinstance(op, np.ndarray) else op:
-        a.flags.writeable = False
+    layout = field_layout(group, two_L)
+    op = _operand([_bands(rep, base, exponent) for rep in layout.reps], layout)
+    op.flags.writeable = False
     return op
 
 
 def _apply_base(base: str, exponent: float, F: SpectralField) -> SpectralField:
-    """A base symbol (see _base_matrix) applied per mode."""
+    """A base symbol applied per mode."""
     return _apply_operand(_base_operand(base, exponent, F.group, F.two_L), F)
 
 
@@ -368,24 +394,27 @@ def build_operator_symbol(spec: OperatorSpec) -> Symbol:
                 sym.hermitian = False
 
     def evaluator(t, x_node, rep):
-        out = np.zeros((rep.dim, rep.dim), dtype=complex)
+        coefs = [term.at(t) for term in terms]
         for i, term in enumerate(terms):
-            c = term.at(t)
             if term.space is not None:
                 if x_node is None:
                     raise ValueError("x-dependent symbol needs a node index")
-                c = c * sym.space_samples(i, grid)[x_node]
-            out += c * _base_matrix(term.base, term.exponent, rep)
-        return out
+                coefs[i] = coefs[i] * sym.space_samples(i, grid)[x_node]
+        return _densify(_assemble(terms, coefs, rep))
 
     sym.evaluator = evaluator
     return sym
 
 
 def _invariant_operand(sym: Symbol, t: float, F: SpectralField):
-    """_operand of sym at t over F's layout; built once if t-independent."""
+    """The operand of sym at t over F's layout, built once if t-independent:
+    assembled from a structured symbol's terms, a bare evaluator's blocks."""
     def build():
-        return _operand([sym.matrix(t, rep) for rep in F.layout.reps])
+        if sym.terms is None:
+            return tuple(sym.matrix(t, rep) for rep in F.layout.reps)
+        coefs = [term.at(t) for term in sym.terms]
+        return _operand([_assemble(sym.terms, coefs, rep)
+                         for rep in F.layout.reps], F.layout)
     return sym._cached((F.group, F.two_L), build) if sym.t_independent else build()
 
 
@@ -483,15 +512,12 @@ def averaged_matrix(sym: Symbol, t: float, rep: RepIndex) -> np.ndarray:
     if sym.x_independent:
         return sym.evaluator(t, None, rep)
     if sym.terms is not None:
-        out = np.zeros((rep.dim, rep.dim), dtype=complex)
         trivial = RepIndex(sym.group) if sym.group == SU2 \
             else RepIndex(TORUS1, k=0)
-        for term in sym.terms:
-            c = term.at(t)
-            if term.space is not None:
-                c = c * term.space.coeffs[trivial][0, 0]
-            out += c * _base_matrix(term.base, term.exponent, rep)
-        return out
+        coefs = [term.at(t) if term.space is None
+                 else term.at(t) * term.space.coeffs[trivial][0, 0]
+                 for term in sym.terms]
+        return _densify(_assemble(sym.terms, coefs, rep))
     grid = sym.base_grid
     w = grid.weights()
     out = np.zeros((rep.dim, rep.dim), dtype=complex)

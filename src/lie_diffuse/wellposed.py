@@ -22,9 +22,10 @@ the first violating sample in scan order (lowest degree first), which names
 the lowest frequency where the inequality breaks.
 
 Each (representation, time) slice of a scan is evaluated at all sampled
-x-nodes in one batch: the symbol matrices are stacked, their Hermitian parts
-taken together, and the smallest eigenvalues read off the diagonal or from
-one batched eigvalsh.  Scan order (representation, then time, then x-node)
+x-nodes in one batch; a structured symbol's slice stays (n_x, 3, d) bands
+(see the symbol module).  The smallest eigenvalues are read off the
+diagonal where the off-diagonals vanish, else from one batched eigvalsh of
+the dense matrices.  Scan order (representation, then time, then x-node)
 and the witness rules are those of a sample-by-sample loop: the witness of
 the minimum is its first occurrence, the failure witness the first sample
 below -tol.
@@ -39,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .harmonic import SU2, TORUS1, RepIndex, dual_enumerate
-from .symbol import Symbol, _base_matrix, bessel_weight
+from .symbol import Symbol, _adjoint, _assemble, _densify, bessel_weight
 
 _PSD_BASES = ("laplace", "sublaplace", "bessel", "sbessel", "id")
 _DRIFT_BASES = ("iX3", "d0")
@@ -102,28 +103,23 @@ class EllipticityReport:
         return out
 
 
-def _coef_range(term, times, sym, i):
-    """Interval bound for const * profile(t) * space(x) over the scan."""
-    lo, hi = term.const.real, term.const.real
-    if abs(term.const.imag) > 0:
-        return None  # complex coefficient: no structural reasoning
-    vals = [1.0]
-    if term.profile is not None:
-        vals = [float(term.profile(t)) for t in times]
-    plo, phi = min(vals), max(vals)
-    cands = [lo * plo, lo * phi]
-    lo, hi = min(cands), max(cands)
+def _coef_range(term, sym, i):
+    """Interval bound for const * space(x) over the scan; None for a complex
+    constant or coefficient, and for a time profile, an opaque callable that
+    cannot be bounded between its samples."""
+    if abs(term.const.imag) > 0 or term.profile is not None:
+        return None  # no structural reasoning
+    lo = hi = term.const.real
     if term.space is not None:
         s = sym.space_samples(i, sym.base_grid)
         if np.abs(s.imag).max() > 1e-10 * (1.0 + np.abs(s.real).max()):
             return None
-        slo, shi = float(s.real.min()), float(s.real.max())
-        cands = [lo * slo, lo * shi, hi * slo, hi * shi]
+        cands = [lo * float(s.real.min()), lo * float(s.real.max())]
         lo, hi = min(cands), max(cands)
     return lo, hi
 
 
-def _structural_tail(sym: Symbol, times: list[float]):
+def _structural_tail(sym: Symbol):
     """Tail analysis for structured symbols.
 
     Returns ("conclusive-positive", None), ("extend", needed_two_L) or
@@ -143,7 +139,7 @@ def _structural_tail(sym: Symbol, times: list[float]):
             return ("none", None)
     if not drift:
         for i, term in psd:
-            rng = _coef_range(term, times, sym, i)
+            rng = _coef_range(term, sym, i)
             if rng is None or rng[1] > 0.0:
                 return ("none", None)
         return ("conclusive-positive", None)
@@ -239,55 +235,49 @@ def _term_coefficients(sym: Symbol, times: list[float], nodes: list) -> list:
     return rows
 
 
-def _min_eigs(H: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each Hermitian matrix in an (n, d, d) stack.
-
-    Diagonal matrices are read off their diagonal; the rest go through one
-    batched eigvalsh.
-    """
-    idx = np.arange(H.shape[-1])
-    diag = H[:, idx, idx]
-    off = H.copy()
-    off[:, idx, idx] -= diag     # entries are finite: _scan rejects the rest
-    eigs = np.real(diag).min(axis=1)
-    dense = np.flatnonzero(off.reshape(len(H), -1).any(axis=1))
-    if dense.size:
-        eigs[dense] = np.linalg.eigvalsh(H[dense]).min(axis=1)
-    return eigs
-
-
 def _scan(sym: Symbol, times: list[float], nodes: list, scan_two_L: int,
           weight: Callable[[RepIndex], np.ndarray] | None = None):
     """Yield (rep, t, eigs) for every (representation, time) slice in scan
     order, eigs holding the smallest eigenvalue of -Herm(sigma(t, x, rep))
-    at each x-node (of W (-Herm sigma) W with W = weight(rep) when given).
+    at each x-node (of W (-Herm sigma) W with W = diag(weight(rep)) when
+    given).
 
-    Structured symbols are assembled from their terms with the evaluator's
-    operation order, so every matrix entry is bit-identical to what
-    sym.evaluator returns; bare evaluators are called once per node.  A slice
-    with a NaN or infinite entry raises ValueError naming its first such
-    x-node: eigvalsh would return NaN, which no tolerance test rejects, or
-    fail with a bare LAPACK error.
+    A structured symbol's slice is assembled as bands with the evaluator's
+    operation order; -Herm is -(0.5 (B + B^*)) band by band and the weight
+    (w_r H_rc) w_c per entry, the operations of the dense -(M + M^*)/2 and
+    W H W, so every entry is bit-identical to the dense slice's.  Bare
+    evaluators are called once per node.  A slice with a NaN or infinite
+    entry raises ValueError naming its first such x-node: eigvalsh would
+    return NaN, which no tolerance test rejects, or fail with a bare LAPACK
+    error.
     """
     coefs = None if sym.terms is None else _term_coefficients(sym, times, nodes)
     for rep in dual_enumerate(sym.group, scan_two_L):
-        W = None if weight is None else weight(rep)
+        w = None if weight is None else weight(rep)
         for k, t in enumerate(times):
             if coefs is None:
-                M = np.stack([np.asarray(sym.evaluator(t, node, rep))
-                              for node in nodes])
+                H = -hermitian_part(np.stack([np.asarray(sym.evaluator(t, node, rep))
+                                              for node in nodes]))
+                if w is not None:
+                    H = (w[:, None] * H) * w
+                eye = np.eye(rep.dim, dtype=bool)
+                diag, off, dense = H[:, eye], np.where(eye, 0, H), lambda i: H[i]
             else:
-                M = np.zeros((len(nodes), rep.dim, rep.dim), dtype=complex)
-                for c, term in zip(coefs[k], sym.terms):
-                    M += c * _base_matrix(term.base, term.exponent, rep)
-            H = -hermitian_part(M)
-            if W is not None:
-                H = W @ H @ W
+                B = _assemble(sym.terms, coefs[k], rep).reshape(-1, 3, rep.dim)
+                H = -(0.5 * (B + _adjoint(B)))
+                if w is not None:
+                    H = (w * H) * np.stack([np.pad(w[:-1], (1, 0)), w,
+                                            np.pad(w[1:], (0, 1))])
+                diag, off, dense = H[:, 1], H[:, ::2], lambda i: _densify(H[i])
             if not np.isfinite(H).all():
                 i = int(np.argmin(np.isfinite(H).all(axis=(1, 2))))
                 raise ValueError(f"non-finite symbol at {rep}, t={t}, "
                                  f"x_node={nodes[i]}")
-            yield rep, t, _min_eigs(H)
+            eigs = np.real(diag).min(axis=1)   # eigvalsh where off-bands show
+            rows = np.flatnonzero(off.reshape(len(off), -1).any(axis=1))
+            if rows.size:
+                eigs[rows] = np.linalg.eigvalsh(dense(rows)).min(axis=1)
+            yield rep, t, eigs
 
 
 def positivity_check(sym: Symbol, T: float = 1.0, time_samples: int = 17,
@@ -303,7 +293,7 @@ def positivity_check(sym: Symbol, T: float = 1.0, time_samples: int = 17,
     """
     times, nodes, scan_two_L = _scan_grid(sym, T, time_samples, scan_two_L,
                                           max_x_samples)
-    tail_kind, needed = _structural_tail(sym, times)
+    tail_kind, needed = _structural_tail(sym)
     if tail_kind == "extend":
         scan_two_L = max(scan_two_L, needed)
 
@@ -354,7 +344,8 @@ def strong_ellipticity_constant(sym: Symbol, T: float = 1.0,
     best_w = None
     best_ex = math.inf
     for rep, t, eigs in _scan(sym, times, nodes, scan_two_L,
-                              lambda rep: bessel_weight(rep, -m / 2.0, weight_kind)):
+                              lambda rep: np.diagonal(
+                                  bessel_weight(rep, -m / 2.0, weight_kind))):
         lam = rep.two_ell * (rep.two_ell + 2) / 4.0 if sym.group == SU2 \
             else float(rep.k ** 2)
         i = int(np.argmin(eigs))

@@ -8,7 +8,9 @@ here with einsum, as the reference for the library's matrix-product stages.
 The time-stepping references are the per-scheme loops that evolve() and
 solve_reduced ran before both shared the evolve module's stepping core.
 BlockField and its norms, Bessel weights and invariant_apply are the
-dict-of-blocks field layout the package used before its packed buffer.
+dict-of-blocks field layout the package used before its packed buffer;
+invariant_apply_bands applies a tridiagonal symbol row by row, as the packed
+banded operand does.
 """
 
 import math
@@ -149,7 +151,7 @@ def positivity_per_sample(sym, T=1.0, time_samples=17, scan_two_L=None,
     times = _time_grid(sym, T, time_samples)
     nodes = _x_nodes(sym, max_x_samples)
     scan_two_L = _default_depth(sym, scan_two_L)
-    tail_kind, needed = wp._structural_tail(sym, times)
+    tail_kind, needed = wp._structural_tail(sym)
     if tail_kind == "extend":
         scan_two_L = max(scan_two_L, needed)
     best, best_w, first_fail = math.inf, None, None
@@ -439,3 +441,23 @@ def invariant_apply_blocks(sym, F, t=0.0):
     """One evaluator call and one matrix product per block."""
     return BlockField(F.group, F.two_L,
                       {rep: sym.evaluator(t, None, rep) @ mat for rep, mat in F.items()})
+
+
+def invariant_apply_bands(sym, F, t=0.0):
+    """One evaluator call per block, applied through its three diagonals row
+    by row: out[r] = A[r, r-1] V[r-1] + A[r, r] V[r] + A[r, r+1] V[r+1], the
+    terms past the block's edges left out."""
+    out = {}
+    for rep, V in F.items():
+        A = np.asarray(sym.evaluator(t, None, rep))
+        d = rep.dim
+        W = np.empty_like(V)
+        for r in range(d):
+            row = A[r, r] * V[r]
+            if r > 0:
+                row = A[r, r - 1] * V[r - 1] + row
+            if r < d - 1:
+                row = row + A[r, r + 1] * V[r + 1]
+            W[r] = row
+        out[rep] = W
+    return BlockField(F.group, F.two_L, out)

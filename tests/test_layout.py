@@ -10,6 +10,7 @@ from lie_diffuse.harmonic import (
     TORUS1,
     RepIndex,
     SpectralField,
+    field_layout,
     plancherel_norm,
     random_field,
     spectral_inner,
@@ -19,17 +20,20 @@ from lie_diffuse.symbol import (
     OperatorTerm,
     Symbol,
     _invariant_operand,
+    apply_spectral,
     build_operator_symbol,
     invariant_apply,
     weighted_field,
 )
 from oracles import (
     BlockField,
+    invariant_apply_bands,
     invariant_apply_blocks,
     plancherel_norm_blocks,
     spectral_inner_blocks,
     weighted_field_blocks,
 )
+from test_wellposed import count_evaluator_calls
 
 LAYOUTS = [(SU2, 0), (SU2, 5), (TORUS1, 0), (TORUS1, 4)]
 
@@ -128,12 +132,59 @@ def test_imaginary_and_complex_diagonals(group, two_L):
 @pytest.mark.parametrize("t_dependent", [False, True])
 @pytest.mark.parametrize("two_L", [0, 5])
 def test_dense_symbol_matches_blocks(two_L, t_dependent):
+    """Tridiagonal symbols act through their bands: bit-identical to the
+    row-by-row band oracle, and within the rounding bound of three-term sums
+    (4 eps (|A| @ |V|) per entry) of the dense matrix product."""
     terms = with_profile(SU2_DENSE) if t_dependent else SU2_DENSE
     sym = build_operator_symbol(OperatorSpec(SU2, two_L, terms))
     F = random_field(SU2, two_L, 5)
+    assert not isinstance(_invariant_operand(sym, 0.3, F), tuple)
     for t in (0.0, 0.3):
-        same_blocks(invariant_apply(sym, F, t),
-                    invariant_apply_blocks(sym, BlockField.of(F), t))
+        got = invariant_apply(sym, F, t)
+        same_blocks(got, invariant_apply_bands(sym, BlockField.of(F), t))
+        want = invariant_apply_blocks(sym, BlockField.of(F), t)
+        for rep, V in F.items():
+            bound = np.abs(sym.evaluator(t, None, rep)) @ np.abs(V)
+            assert np.all(np.abs(got[rep] - want[rep])
+                          <= 4.0 * np.finfo(float).eps * bound)
+
+
+@pytest.mark.parametrize("t_dependent", [False, True])
+def test_structured_apply_makes_no_evaluator_calls(t_dependent):
+    """Structured operands come from the terms, x-dependent or not."""
+    terms = with_profile(SU2_DENSE) if t_dependent else SU2_DENSE
+    space = random_field(SU2, 2, 11)
+    x_terms = terms + [OperatorTerm("X2", const=0.2, space=space)]
+    F = random_field(SU2, 3, 12)
+    for sym in (build_operator_symbol(OperatorSpec(SU2, 3, terms)),
+                build_operator_symbol(OperatorSpec(SU2, 3, x_terms))):
+        calls = count_evaluator_calls(sym)
+        for t in (0.0, 0.3):
+            apply_spectral(sym, t, F)
+            if sym.x_independent:
+                invariant_apply(sym, F, t)
+        assert len(calls) == 0
+
+
+@pytest.mark.parametrize("group,two_L", LAYOUTS + [(SU2, 1)])
+def test_row_shift_indices(group, two_L):
+    """prev_row / next_row point one block row up / down, and at the first /
+    last row of a block to the entry itself."""
+    lay = field_layout(group, two_L)
+    idx = np.arange(lay.size)
+    for sl, d in lay.slots.values():
+        block = idx[sl].reshape(d, d)
+        assert np.array_equal(lay.prev_row[sl].reshape(d, d),
+                              np.vstack([block[:1], block[:-1]]))
+        assert np.array_equal(lay.next_row[sl].reshape(d, d),
+                              np.vstack([block[1:], block[-1:]]))
+    if group == TORUS1 or two_L == 0:   # d = 1: no off-bands
+        assert np.array_equal(lay.prev_row, idx)
+        assert np.array_equal(lay.next_row, idx)
+    if (group, two_L) == (SU2, 1):
+        assert lay.prev_row.tolist() == [0, 1, 2, 1, 2]
+        assert lay.next_row.tolist() == [0, 3, 4, 3, 4]
+    assert not lay.prev_row.flags.writeable and not lay.next_row.flags.writeable
 
 
 @pytest.mark.parametrize("group,two_L", LAYOUTS)

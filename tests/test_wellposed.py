@@ -10,6 +10,7 @@ from lie_diffuse.harmonic import (
     SU2,
     TORUS1,
     GridField,
+    RepIndex,
     dual_enumerate,
     fourier_inverse,
     quadrature_grid,
@@ -377,7 +378,32 @@ def subelliptic_symbol():
     return build_operator_symbol(OperatorSpec(SU2, 2, terms, kappa=2))
 
 
+def tridiagonal_symbol(case):
+    """Non-Hermitian tridiagonal symbols whose Hermitian part has off-bands,
+    so their scans densify and run eigvalsh."""
+    terms = {
+        "d+": [OperatorTerm("d+", const=0.5)],
+        "x-plus-X2": [OperatorTerm("laplace", exponent=0.5, const=-1.0,
+                                   space=real_coef(SU2, 2, 0.4)),
+                      OperatorTerm("X2", const=0.2 + 0.3j)],
+        "X1-profile": [OperatorTerm("laplace", exponent=0.5, const=-1.0),
+                       OperatorTerm("X1", const=0.3 + 0.2j,
+                                    profile=lambda t: 1.0 + t)],
+        "sublaplace-X2": [OperatorTerm("sublaplace", exponent=0.5, const=-1.0),
+                          OperatorTerm("X2", const=0.4j),
+                          OperatorTerm("id", const=-0.2)],
+    }[case]
+    return build_operator_symbol(OperatorSpec(SU2, 2, terms, kappa=2))
+
+
 SCAN_CASES = {
+    "tridiagonal-d+": (lambda: tridiagonal_symbol("d+"), "elliptic"),
+    "tridiagonal-x-plus-X2": (lambda: tridiagonal_symbol("x-plus-X2"), "elliptic"),
+    "tridiagonal-X1-profile": (lambda: tridiagonal_symbol("X1-profile"), "elliptic"),
+    # subelliptic weights differ along the diagonal, so the weighted slice
+    # shows which column weight each band takes
+    "tridiagonal-subelliptic": (lambda: tridiagonal_symbol("sublaplace-X2"),
+                                "subelliptic"),
     "varcoef-0.3": (lambda: varcoef_symbol(0.3), "elliptic"),
     "varcoef-1.2": (lambda: varcoef_symbol(1.2), "elliptic"),
     "dense": (lambda: dense_symbol(False), "elliptic"),
@@ -400,6 +426,34 @@ def test_batched_scans_match_per_sample_reference(case):
     assert as_json(positivity_check(sym)) == as_json(positivity_per_sample(sym))
     assert as_json(strong_ellipticity_constant(sym, weight_kind=weight_kind)) \
         == as_json(strong_ellipticity_per_sample(sym, weight_kind=weight_kind))
+
+
+def test_tridiagonal_scans_take_the_dense_path():
+    """Each tridiagonal case has a Hermitian part with off-bands somewhere
+    in its scan, so the eigvalsh branch is what the byte-equal test pins."""
+    for case in ("d+", "x-plus-X2", "X1-profile", "sublaplace-X2"):
+        sym = tridiagonal_symbol(case)
+        H = hermitian_part(sym.evaluator(0.0, None if sym.x_independent else 0,
+                                         RepIndex(SU2, two_ell=2)))
+        assert np.any(H - np.diag(np.diagonal(H)))
+
+
+def test_time_profile_tail_is_scan_limited():
+    """p(t) = 1 - 2 exp(-((t - 0.37)/1e-3)^2) dips to -1 between the 17 scan
+    times: a profile cannot be bounded from its samples, so the positivity
+    tail is scan-limited (a constant coefficient keeps a conclusive one).
+    classify_problem does not read tails yet and still returns CaseII."""
+    def p(t):
+        return 1.0 - 2.0 * math.exp(-((t - 0.37) / 1e-3) ** 2)
+    sym = build_operator_symbol(OperatorSpec(SU2, 4, [
+        OperatorTerm("laplace", exponent=0.5, const=-1.0, profile=p)]))
+    report = positivity_check(sym, T=1.0)
+    assert (report.kind, report.tail) == ("positive", "scan-limited")
+    assert as_json(report) == as_json(positivity_per_sample(sym))
+    assert classify_problem(sym, T=1.0).case == "CaseII"
+    const = build_operator_symbol(OperatorSpec(SU2, 4, [
+        OperatorTerm("laplace", exponent=0.5, const=-1.0)]))
+    assert positivity_check(const).tail == "conclusive"
 
 
 def test_varcoef_scan_verdicts():

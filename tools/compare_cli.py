@@ -36,6 +36,10 @@ CONFIGS = [
      {"operator": "-1*laplace^1/2 + 1*iX3 + 0.3*X1", "two_L": 6,
       "u0": "random 5", "forcing": "random 6", "dt": 0.01, "scheme": "rk4",
       "s": 0.5}),
+    ("ladder-rk4", "evolve",
+     {"operator": "-1*laplace^1/2 + 0.2*d+ + 0.1*d-", "two_L": 6,
+      "u0": "random 14", "forcing": "random 15", "dt": 0.01, "scheme": "rk4",
+      "s": 0.5}),
     ("rk4-substeps", "evolve",
      {"operator": "-1*laplace - 1*id", "two_L": 8, "u0": "random 7",
       "dt": 0.25, "scheme": "rk4"}),
