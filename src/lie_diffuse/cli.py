@@ -51,7 +51,7 @@ from .harmonic import (
     random_field,
     save_field,
 )
-from .symbol import OperatorSpec, OperatorTerm, build_operator_symbol
+from .symbol import WEIGHT_KINDS, OperatorSpec, OperatorTerm, build_operator_symbol
 from .wellposed import classify_problem
 from .evolve import EvolutionProblem, SolverError, evolve
 from .reduce import HigherOrderProblem, extract_u, reduce_to_first_order, solve_reduced
@@ -258,8 +258,7 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         raise ConfigError("horizon T must be positive")
     if cfg.scheme not in ("auto", "exact", "cn", "rk4"):
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
-    if cfg.kind not in ("elliptic", "subelliptic") \
-            or cfg.weight_kind not in ("elliptic", "subelliptic"):
+    if cfg.kind not in WEIGHT_KINDS or cfg.weight_kind not in WEIGHT_KINDS:
         raise ConfigError("norm kind must be elliptic or subelliptic")
     return cfg
 

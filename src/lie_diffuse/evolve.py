@@ -25,9 +25,10 @@ product over the buffer.
 
 Energy diagnostics follow the L^2 identity d/dt ||v||^2 = 2 Re(Kv, v)
 + 2 Re(f, v) via finite differences, and the energy estimate
-||v(t)||^2 <= C ||u0||^2 + C' int ||f||^2 with fitted constants.  They run
-one state at a time on its buffer: a norm is one weighted dot, a Bessel
-weight or a diagonal K one per-entry product (see the symbol module).
+||v(t)||^2 <= C ||u0||^2 + C' int ||f||^2 with fitted constants, all from
+each state's |v|^2 summed per block row (one pass) and cached weight rows:
+d_xi <xi>_row^{2s} for norms, d_xi Re k_row for a per-entry K's 2 Re(Kv, v).
+Other generators pair K v with v; the L^2 column stays plancherel_norm.
 """
 
 from __future__ import annotations
@@ -35,18 +36,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy.linalg import expm
 
 from .harmonic import (
     SpectralField,
+    field_layout,
     plancherel_norm,
     spectral_inner,
 )
-from .symbol import (Symbol, apply_spectral, averaged_matrix, invariant_apply,
-                     weighted_field)
+from .symbol import (WEIGHT_KINDS, Symbol, _invariant_operand, apply_spectral,
+                     averaged_matrix, bessel_weight, invariant_apply)
 from .wellposed import Classification, classify_problem
 
 
@@ -60,11 +62,39 @@ class SolverError(RuntimeError):
 
 # ---------------------------------------------------------------- Sobolev norms
 
+class _States(list):
+    """Fields on one layout.  rows, computed once and shared by evolve()'s
+    diagnostics, is each field's |v|^2 summed per block row, (n, rows)."""
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        lay = self[0].layout
+        sq, out = np.empty(2 * lay.size), np.empty((len(self), len(lay.row_starts)))
+        for F, row in zip(self, out):
+            np.square(F.data.view(np.float64), out=sq)
+            np.add.reduceat(sq, 2 * lay.row_starts, out=row)
+        return out
+
+
+def _row_energies(fields) -> np.ndarray:     # (n, rows) per-row |v|^2
+    return (fields if isinstance(fields, _States) else _States(fields)).rows
+
+
+@lru_cache(maxsize=64)
+def _norm_row(group: str, two_L: int, s: float, kind: str) -> np.ndarray:
+    """Read-only d_xi <xi>_row^{2s} per block row (a Bessel weight is constant
+    along a row): squared H^s norms are row energies dotted with it."""
+    lay = field_layout(group, two_L)
+    row = lay.dims[lay.row_starts] * np.concatenate(
+        [np.diagonal(bessel_weight(rep, 2.0 * s, kind)).real for rep in lay.reps])
+    row.flags.writeable = False
+    return row
+
+
 def sobolev_norm(F: SpectralField, s: float, kind: str = "elliptic") -> float:
-    """H^s norm: Plancherel norm of the Bessel-weighted coefficients."""
-    if s == 0.0:
-        return math.sqrt(plancherel_norm(F))
-    return math.sqrt(plancherel_norm(weighted_field(F, s, kind)))
+    """H^s norm: the row energies of F dotted with the order-s weight row."""
+    return math.sqrt(_row_energies([F])[0] @ _norm_row(F.group, F.two_L,
+                                                         float(s), kind))
 
 
 # ---------------------------------------------------------------- problem setup
@@ -87,13 +117,15 @@ class EvolutionProblem:
     def __post_init__(self):
         if self.T <= 0.0:
             raise ValueError("horizon T must be positive")
-        if isinstance(self.forcing, SpectralField):
-            if (self.forcing.group != self.u0.group
-                    or self.forcing.two_L != self.u0.two_L):
-                raise ValueError("forcing and initial data bandlimit mismatch")
+        if self.kind not in WEIGHT_KINDS:
+            raise ValueError(f"unknown norm kind {self.kind!r}")
+        if not math.isfinite(self.s):
+            raise ValueError(f"norm order s must be finite, got {self.s}")
+        if not callable(self.forcing):
+            self.forcing_at(0.0)     # a constant forcing must lie on u0's layout
 
     def forcing_at(self, t: float) -> SpectralField | None:
-        return _forcing_at(self.forcing, t)
+        return _forcing_at(self.forcing, t, self.u0.layout)
 
 
 def _apply(sym: Symbol, t: float, F: SpectralField) -> SpectralField:
@@ -120,9 +152,13 @@ def _mode_matrix(sym: Symbol, t: float, rep) -> np.ndarray:
 # tuple of blocks.  Exact propagators (P, Q) take the same two forms; a 1-D
 # block there is a diagonal.
 
-def _forcing_at(forcing, t: float):
-    """Forcing at time t: None, a constant field, or a callable."""
-    return forcing(t) if callable(forcing) else forcing
+def _forcing_at(forcing, t: float, layout):
+    """Forcing at time t (None, a field or a callable), on the state's layout."""
+    f = forcing(t) if callable(forcing) else forcing
+    if f is not None and (f.group, f.two_L) != (layout.group, layout.two_L):
+        raise ValueError(f"forcing at t={t:g} is on {f.group} two_L={f.two_L}, "
+                         f"the state on {layout.group} two_L={layout.two_L}")
+    return f
 
 
 def _is_diagonal(A: np.ndarray) -> bool:
@@ -170,7 +206,7 @@ def _propagators(op, layout, dt: float, expm=expm):
     if isinstance(op, tuple):
         return tuple(zip(*(_exact_propagators(A, dt, expm) for A in op)))
     sizes = layout.row_sizes
-    rows = op[..., np.cumsum(sizes) - sizes]
+    rows = op[..., layout.row_starts]
     if len(op) == 1:       # elementwise, as for a diagonal block
         P, Q = np.exp(dt * rows), dt * _phi1(dt * rows)
     else:
@@ -224,7 +260,7 @@ def _step_modes(scheme: str, U: np.ndarray, layout, operand, forcing,
     tm = t + 0.5 * dt
 
     def force(tau):       # (0, ..., 0, f(tau)) as a buffer, or None
-        f = _forcing_at(forcing, tau)
+        f = _forcing_at(forcing, tau, layout)
         return None if f is None else np.concatenate([np.zeros_like(U[1:]),
                                                       f.data[None]])
 
@@ -271,7 +307,7 @@ def step_rk4(state: SpectralField, sym: Symbol, forcing=None,
 
     def rhs(tau, F):
         out = _apply(sym, tau, F)
-        f = _forcing_at(forcing, tau)
+        f = _forcing_at(forcing, tau, F.layout)
         return out + f if f is not None else out
 
     return _rk4(rhs, state, t, dt)
@@ -291,7 +327,7 @@ def step_crank_nicolson(state: SpectralField, sym: Symbol, forcing=None,
         return _step_field("cn", state, lambda tau: tuple(
             _mode_matrix(sym, tau, rep) for rep in state.layout.reps), forcing, t, dt)
     tm = t + 0.5 * dt
-    fmid = _forcing_at(forcing, tm)
+    fmid = _forcing_at(forcing, tm, state.layout)
     rhs = state + (0.5 * dt) * apply_spectral(sym, tm, state)
     if fmid is not None:
         rhs = rhs + dt * fmid
@@ -436,12 +472,12 @@ def evolve(problem: EvolutionProblem, scheme: str = "auto", dt: float = 1e-2,
 
     times = [n * dt for n in range(len(trajectory))]
     l2 = [math.sqrt(plancherel_norm(w)) for w in trajectory]
-    hs = [sobolev_norm(w, problem.s, problem.kind) for w in trajectory]
-    gain = [sobolev_norm(w, problem.s + 0.5 * sym.order, problem.kind)
-            for w in trajectory]
-    residuals = energy_identity_residual(trajectory, sym, problem.forcing_at, dt)
+    states = _States(trajectory)
+    hs, gain = (np.sqrt(states.rows @ _norm_row(u0.group, u0.two_L, s, problem.kind))
+                .tolist() for s in (float(problem.s), problem.s + 0.5 * sym.order))
+    residuals = energy_identity_residual(states, sym, problem.forcing_at, dt)
     C, C_prime, satisfied = energy_estimate_check(
-        trajectory, u0, problem.forcing_at, problem.s, problem.kind, dt)
+        states, u0, problem.forcing_at, problem.s, problem.kind, dt)
     report = EnergyReport(times, l2, hs, gain, residuals, C, C_prime, satisfied,
                           scheme, case=classification.case,
                           verified=classification.verified,
@@ -461,7 +497,9 @@ def energy_identity_residual(trajectory, sym: Symbol, forcing_at, dt: float,
     n = len(trajectory)
     if n < 3:
         raise ValueError("need at least three states for the identity residual")
-    E = [plancherel_norm(v) for v in trajectory]
+    lay, R = trajectory[0].layout, _row_energies(trajectory)
+    dims = _norm_row(lay.group, lay.two_L, 0.0, "elliptic")
+    E = R @ dims
     out = []
     for i, v in enumerate(trajectory):
         t = t0 + i * dt
@@ -471,7 +509,11 @@ def energy_identity_residual(trajectory, sym: Symbol, forcing_at, dt: float,
             dE = (3.0 * E[i] - 4.0 * E[i - 1] + E[i - 2]) / (2.0 * dt)
         else:
             dE = (E[i + 1] - E[i - 1]) / (2.0 * dt)
-        rhs = 2.0 * spectral_inner(_apply(sym, t, v), v).real
+        op = None if sym.terms is None or not sym.x_independent \
+            else _invariant_operand(sym, t, v)     # a bare evaluator's is blocks
+        rhs = (2.0 * float(R[i] @ (dims * op[lay.row_starts].real))
+               if isinstance(op, np.ndarray) and op.ndim == 1   # K acts per entry
+               else 2.0 * spectral_inner(_apply(sym, t, v), v).real)
         f = forcing_at(t) if forcing_at is not None else None
         if f is not None:
             rhs += 2.0 * spectral_inner(f, v).real
@@ -491,15 +533,10 @@ def energy_estimate_check(trajectory, u0: SpectralField, forcing_at,
     constants, so the satisfied flag records that the reported pair is
     feasible at every sample.
     """
-    E = np.array([sobolev_norm(v, s, kind) ** 2 for v in trajectory])
     U = sobolev_norm(u0, s, kind) ** 2
-    n = len(trajectory)
-    fnorm2 = np.zeros(n)
-    if forcing_at is not None:
-        for i in range(n):
-            f = forcing_at(i * dt)
-            if f is not None:
-                fnorm2[i] = sobolev_norm(f, s, kind) ** 2
+    E = _row_energies(trajectory) @ _norm_row(u0.group, u0.two_L, float(s), kind)
+    fs = [None if forcing_at is None else forcing_at(i * dt) for i in range(len(E))]
+    fnorm2 = np.array([0.0 if f is None else sobolev_norm(f, s, kind) ** 2 for f in fs])
     F_tot = float(np.trapezoid(fnorm2, dx=dt))
 
     if U == 0.0 and E.max() == 0.0:

@@ -196,12 +196,14 @@ class GridField:
 class FieldLayout:
     """Where each representation's block sits in a packed buffer: slots[rep]
     is (slice, d); dims holds d_xi at every entry (the Plancherel weight),
-    row_sizes the length d of each block row, row after row.  prev_row and
+    row_sizes the length d of each block row, row after row, and row_starts
+    the index of each block row's first entry.  prev_row and
     next_row give the index of entry (r-1, c) and (r+1, c) of the same block
     at each entry (r, c), or the entry itself at the block's first or last
     row, where a banded symbol has no sub or super diagonal."""
 
     def __init__(self, group: str, two_L: int):
+        self.group, self.two_L = group, two_L
         self.reps = tuple(dual_enumerate(group, two_L))
         sizes = [rep.dim ** 2 for rep in self.reps]
         ends = np.cumsum([0] + sizes).tolist()
@@ -212,12 +214,13 @@ class FieldLayout:
         self.dims.flags.writeable = False
         dims = [rep.dim for rep in self.reps]
         self.row_sizes = np.repeat(dims, dims)
+        self.row_starts = np.cumsum(self.row_sizes) - self.row_sizes
         idx = np.arange(self.size)
         d = np.repeat(dims, sizes)
         row = (idx - np.repeat(ends[:-1], sizes)) // d
         self.prev_row = np.where(row > 0, idx - d, idx)
         self.next_row = np.where(row < d - 1, idx + d, idx)
-        for a in (self.row_sizes, self.prev_row, self.next_row):
+        for a in (self.row_sizes, self.row_starts, self.prev_row, self.next_row):
             a.flags.writeable = False
 
 

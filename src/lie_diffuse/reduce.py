@@ -32,8 +32,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .harmonic import SpectralField
-from .symbol import Symbol, bessel_weight
-from .evolve import _forcing_at, _integrate, weighted_field
+from .symbol import Symbol, bessel_weight, weighted_field
+from .evolve import _forcing_at, _integrate
 
 
 @dataclass
@@ -116,7 +116,7 @@ class FirstOrderSystem:
         return B
 
     def forcing_at(self, t: float):
-        return _forcing_at(self.forcing, t)
+        return _forcing_at(self.forcing, t, self.initial[0].layout)
 
 
 def reduce_to_first_order(p: HigherOrderProblem,

@@ -57,6 +57,7 @@ from .harmonic import (
 )
 
 VECTOR_FIELDS = ("d0", "d+", "d-", "X1", "X2", "X3", "iX3")
+WEIGHT_KINDS = ("elliptic", "subelliptic")
 _DIAGONAL_BASES = ("laplace", "sublaplace", "bessel", "sbessel", "id")
 _HERMITIAN_BASES = _DIAGONAL_BASES + ("d0", "iX3")
 
@@ -125,7 +126,7 @@ def bessel_weight(rep: RepIndex, s: float, kind: str = "elliptic") -> np.ndarray
     kind "subelliptic" uses the sub-Laplacian spectrum per diagonal slot,
     diag((1 + ell(ell+1) - j^2)^{s/2}).  On the circle the two coincide.
     """
-    if kind not in ("elliptic", "subelliptic"):
+    if kind not in WEIGHT_KINDS:
         raise ValueError(f"unknown weight kind {kind!r}")
     if rep.group == TORUS1:
         return np.array([[(1.0 + rep.k ** 2) ** (s / 2.0)]], dtype=complex)
@@ -241,7 +242,7 @@ def _apply_base(base: str, exponent: float, F: SpectralField) -> SpectralField:
 
 def weighted_field(F: SpectralField, s: float, kind: str = "elliptic") -> SpectralField:
     """Apply the order-s Bessel weight (see bessel_weight) per representation."""
-    if kind not in ("elliptic", "subelliptic"):
+    if kind not in WEIGHT_KINDS:
         raise ValueError(f"unknown weight kind {kind!r}")
     return _apply_base("bessel" if kind == "elliptic" else "sbessel", float(s), F)
 

@@ -10,7 +10,10 @@ solve_reduced ran before both shared the evolve module's stepping core.
 BlockField and its norms, Bessel weights and invariant_apply are the
 dict-of-blocks field layout the package used before its packed buffer;
 invariant_apply_bands applies a tridiagonal symbol row by row, as the packed
-banded operand does.
+banded operand does.  The per-state energy diagnostics are the ones evolve()
+ran before it read each state once: Sobolev norms of the Bessel-weighted
+field, the identity's pairing spectral_inner(K v, v), and the estimate fitted
+on those norms.
 """
 
 import math
@@ -26,9 +29,12 @@ from lie_diffuse.harmonic import (
     RepIndex,
     SpectralField,
     dual_enumerate,
+    plancherel_norm,
+    spectral_inner,
     wigner_matrix,
 )
-from lie_diffuse.symbol import bessel_weight
+from lie_diffuse.symbol import (apply_spectral, bessel_weight, invariant_apply,
+                                weighted_field)
 
 
 def ladder(two_ell):
@@ -461,3 +467,87 @@ def invariant_apply_bands(sym, F, t=0.0):
             W[r] = row
         out[rep] = W
     return BlockField(F.group, F.two_L, out)
+
+
+# ---------------------------------------------------------------- per-state energy diagnostics
+
+def sobolev_norm_weighted(F, s, kind="elliptic"):
+    """H^s norm as the Plancherel norm of the Bessel-weighted field."""
+    if s == 0.0:
+        return math.sqrt(plancherel_norm(F))
+    return math.sqrt(plancherel_norm(weighted_field(F, s, kind)))
+
+
+def energy_identity_terms(trajectory, sym, forcing_at, dt, t0=0.0):
+    """Per sample (residual, |dE| + |2 Re(Kv, v)|) of d/dt ||v||^2 =
+    2 Re(Kv, v) + 2 Re(f, v), with E = plancherel_norm(v) and K v applied."""
+    n = len(trajectory)
+    E = [plancherel_norm(v) for v in trajectory]
+    out = []
+    for i, v in enumerate(trajectory):
+        t = t0 + i * dt
+        if i == 0:
+            dE = (-3.0 * E[0] + 4.0 * E[1] - E[2]) / (2.0 * dt)
+        elif i == n - 1:
+            dE = (3.0 * E[i] - 4.0 * E[i - 1] + E[i - 2]) / (2.0 * dt)
+        else:
+            dE = (E[i + 1] - E[i - 1]) / (2.0 * dt)
+        Kv = invariant_apply(sym, v, t) if sym.x_independent \
+            else apply_spectral(sym, t, v)
+        pair = 2.0 * spectral_inner(Kv, v).real
+        rhs = pair
+        f = forcing_at(t) if forcing_at is not None else None
+        if f is not None:
+            rhs += 2.0 * spectral_inner(f, v).real
+        out.append((abs(dE - rhs), abs(dE) + abs(pair)))
+    return out
+
+
+def energy_estimate_weighted(trajectory, u0, forcing_at, s=0.0,
+                             kind="elliptic", dt=1e-2):
+    """(C, C', satisfied) fitted as evolve's energy_estimate_check does, on
+    sobolev_norm_weighted."""
+    E = np.array([sobolev_norm_weighted(v, s, kind) ** 2 for v in trajectory])
+    U = sobolev_norm_weighted(u0, s, kind) ** 2
+    n = len(trajectory)
+    fnorm2 = np.zeros(n)
+    if forcing_at is not None:
+        for i in range(n):
+            f = forcing_at(i * dt)
+            if f is not None:
+                fnorm2[i] = sobolev_norm_weighted(f, s, kind) ** 2
+    F_tot = float(np.trapezoid(fnorm2, dx=dt))
+    if U == 0.0 and E.max() == 0.0:
+        return 1.0, 0.0, True
+    if F_tot == 0.0:
+        C = float(E.max() / U) if U > 0.0 else math.inf
+        return C, 0.0, U > 0.0
+    if U == 0.0:
+        return 1.0, float(E.max() / F_tot), True
+    C_max = float(E.max() / U)
+    grid = np.concatenate(([0.0], np.geomspace(max(C_max * 1e-6, 1e-12),
+                                               C_max, 240)))
+    best = None
+    for C in grid:
+        C_prime = max(0.0, float((E - C * U).max() / F_tot))
+        cost = C * U + C_prime * F_tot
+        if best is None or cost < best[0] - 1e-15 * (1.0 + abs(best[0])):
+            best = (cost, float(C), C_prime)
+    return best[1], best[2], True
+
+
+def energy_report_per_state(problem, trajectory, dt):
+    """evolve()'s report fields from the per-state route, plus the identity's
+    per-sample scales |dE| + |2 Re(Kv, v)|."""
+    s, kind, order = problem.s, problem.kind, problem.sym.order
+    terms = energy_identity_terms(trajectory, problem.sym, problem.forcing_at, dt)
+    C, C_prime, satisfied = energy_estimate_weighted(
+        trajectory, problem.u0, problem.forcing_at, s, kind, dt)
+    return {
+        "l2_norms": [math.sqrt(plancherel_norm(w)) for w in trajectory],
+        "hs_norms": [sobolev_norm_weighted(w, s, kind) for w in trajectory],
+        "hs_gain_norms": [sobolev_norm_weighted(w, s + 0.5 * order, kind)
+                          for w in trajectory],
+        "identity_residuals": [r for r, _ in terms],
+        "identity_scales": [scale for _, scale in terms],
+        "C": C, "C_prime": C_prime, "estimate_satisfied": satisfied}

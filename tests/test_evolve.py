@@ -1,3 +1,5 @@
+import functools
+import importlib
 import math
 
 import numpy as np
@@ -26,7 +28,9 @@ from lie_diffuse.evolve import (
     step_rk4,
 )
 from lie_diffuse.wellposed import classify_problem
-from oracles import evolve_exact_loop
+import lie_diffuse.harmonic as harmonic_mod
+import lie_diffuse.symbol as symbol_mod
+from oracles import energy_identity_terms, energy_report_per_state, evolve_exact_loop
 
 
 def op(terms, two_L=4):
@@ -208,6 +212,48 @@ def test_forcing_bandlimit_checked():
                          forcing=random_field(SU2, 6, seed=2))
 
 
+@pytest.mark.parametrize("scheme", ["exact", "cn", "rk4"])
+def test_callable_forcing_on_another_bandlimit_is_named(scheme):
+    f = random_field(SU2, 2, seed=2)
+    problem = EvolutionProblem(HEAT, random_field(SU2, 4, seed=1),
+                               forcing=lambda t: f, T=0.2)
+    with pytest.raises(ValueError, match=r"forcing at t=0(\.\d+)? is on su2 two_L=2, "
+                                         r"the state on su2 two_L=4"):
+        evolve(problem, scheme=scheme, dt=0.05)
+
+
+def test_callable_forcing_on_another_group_is_named():
+    """A circle field of the same buffer length is refused, not added."""
+    sym = op([OperatorTerm("laplace", const=-1.0)], two_L=1)
+    f = random_field(TORUS1, 2, seed=2)
+    assert f.data.shape == (5,) == random_field(SU2, 1, seed=1).data.shape
+    problem = EvolutionProblem(sym, random_field(SU2, 1, seed=1),
+                               forcing=lambda t: f, T=0.2)
+    with pytest.raises(ValueError, match="is on torus1 two_L=2, the state on su2"):
+        evolve(problem, scheme="exact", dt=0.05)
+
+
+def test_xdep_cn_forcing_layout_is_named():
+    problem = EvolutionProblem(xdep_symbol(), random_field(SU2, 2, seed=1),
+                               forcing=lambda t: random_field(SU2, 3, seed=2), T=0.2)
+    with pytest.raises(ValueError, match="the state on su2 two_L=2"):
+        evolve(problem, scheme="cn", dt=0.05)
+
+
+@pytest.mark.parametrize("kw,match", [({"kind": "bogus"}, "unknown norm kind 'bogus'"),
+                                      ({"s": math.nan}, "s must be finite"),
+                                      ({"s": -math.inf}, "s must be finite")])
+def test_problem_rejects_bad_norm(kw, match):
+    with pytest.raises(ValueError, match=match):
+        EvolutionProblem(HEAT, random_field(SU2, 2, seed=1), **kw)
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0])
+def test_sobolev_norm_rejects_unknown_kind(s):
+    with pytest.raises(ValueError, match="unknown weight kind 'bogus'"):
+        sobolev_norm(random_field(SU2, 2, seed=1), s, "bogus")
+
+
 # ---------------------------------------------------------------- diagnostics
 
 def test_identity_residual_zero_problem():
@@ -359,3 +405,155 @@ def test_evolve_evaluates_invariant_symbol_once_per_rep(scheme, operator):
                                forcing=random_field(SU2, 4, seed=32), T=0.2, s=1.0)
     evolve(problem, scheme=scheme, dt=0.02, classification=cls)
     assert len(calls) == len(set(calls)) <= 5
+
+
+# ---------------------------------------------------------------- diagnostics against the per-state route
+
+def _generator(name):
+    if name == "x-dependent":
+        return xdep_symbol()
+    profile = lambda t: 1.0 + 0.5 * math.sin(3.0 * t)  # noqa: E731
+    terms = {
+        "diagonal": [OperatorTerm("laplace", 0.5, const=-1.0)],
+        "profile": [OperatorTerm("laplace", const=-1.0, profile=profile),
+                    OperatorTerm("iX3", const=0.5)],
+        "imaginary-diagonal": [OperatorTerm("laplace", const=-1.0),
+                               OperatorTerm("X3", const=1.0)],
+        "banded-X1": [OperatorTerm("laplace", 0.5, const=-1.0),
+                      OperatorTerm("X1", const=0.3)],
+        "banded-d+": [OperatorTerm("laplace", 0.5, const=-1.0),
+                      OperatorTerm("d+", const=0.2)],
+    }[name]
+    return op(terms)
+
+
+def _forcing(kind, group, two_L):
+    f = random_field(group, two_L, seed=42)
+    return {"none": None, "constant": f,
+            "callable": lambda t: (1.0 + t) * f}[kind]
+
+
+def assert_matches_per_state(problem, dt=0.03):
+    """Norms, C and C' within 1e-13 relative of the per-state route, L2 norms
+    equal, identity residuals within 1e-13 of |dE| + |2 Re(Kv, v)|."""
+    traj, report = evolve(problem, dt=dt)
+    want = energy_report_per_state(problem, traj, report.times[1])
+    assert report.l2_norms == want["l2_norms"]
+    for key in ("hs_norms", "hs_gain_norms"):
+        np.testing.assert_allclose(getattr(report, key), want[key], rtol=1e-13, atol=0)
+    np.testing.assert_allclose([report.C, report.C_prime],
+                               [want["C"], want["C_prime"]], rtol=1e-13, atol=0)
+    assert report.estimate_satisfied == want["estimate_satisfied"]
+    gap = np.abs(np.subtract(report.identity_residuals, want["identity_residuals"]))
+    assert np.all(gap <= 1e-13 * np.array(want["identity_scales"]))
+
+
+@pytest.mark.parametrize("forcing", ["none", "constant", "callable"])
+@pytest.mark.parametrize("generator", ["diagonal", "profile", "imaginary-diagonal",
+                                       "banded-X1", "banded-d+", "x-dependent"])
+def test_diagnostics_match_per_state_route(generator, forcing):
+    sym = _generator(generator)
+    problem = EvolutionProblem(sym, random_field(SU2, sym.two_L, seed=41),
+                               forcing=_forcing(forcing, SU2, sym.two_L),
+                               T=0.3, s=0.5)
+    assert_matches_per_state(problem)
+
+
+@pytest.mark.parametrize("s", [-1.0, 0.0, 0.5, 1.0])
+@pytest.mark.parametrize("kind", ["elliptic", "subelliptic"])
+def test_diagnostic_norms_match_per_state_route(kind, s):
+    problem = EvolutionProblem(_generator("imaginary-diagonal"),
+                               random_field(SU2, 4, seed=43),
+                               forcing=_forcing("constant", SU2, 4), T=0.3,
+                               s=s, kind=kind)
+    assert_matches_per_state(problem)
+    F = random_field(SU2, 4, seed=44)
+    assert sobolev_norm(F, s, kind) == pytest.approx(
+        math.sqrt(plancherel_norm(symbol_mod.weighted_field(F, s, kind))),
+        rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("forcing", ["none", "constant", "callable"])
+def test_circle_diagnostics_match_per_state_route(forcing):
+    sym = build_operator_symbol(OperatorSpec(
+        TORUS1, 6, [OperatorTerm("laplace", 0.5, const=-1.0)]))
+    problem = EvolutionProblem(sym, random_field(TORUS1, 6, seed=45),
+                               forcing=_forcing(forcing, TORUS1, 6), T=0.3, s=1.0)
+    assert_matches_per_state(problem)
+
+
+# the package's evolve attribute is the function, so fetch the module by name
+evolve_mod = importlib.import_module("lie_diffuse.evolve")
+
+
+def test_evolve_squares_each_state_once(monkeypatch):
+    """evolve()'s norms, identity and estimate share one row-energy pass over
+    the trajectory; the estimate's ||u0|| is sobolev_norm's own pass."""
+    passes = []
+    rows = evolve_mod._States.rows.func
+
+    def counted(self):
+        passes.append(len(self))
+        return rows(self)
+    prop = functools.cached_property(counted)
+    prop.__set_name__(evolve_mod._States, "rows")
+    monkeypatch.setattr(evolve_mod._States, "rows", prop)
+    sym = _generator("imaginary-diagonal")
+    traj, _ = evolve(EvolutionProblem(sym, random_field(SU2, 4, seed=49), T=0.2,
+                                      s=1.0), dt=0.05, classification=classify_problem(sym))
+    assert sorted(passes) == [1, len(traj)]
+
+
+def test_bare_evaluator_pairing_evaluates_once_per_sample():
+    """A bare t-dependent evaluator is paired through K v, evaluated once per
+    sample and representation."""
+    calls = []
+
+    def evaluator(t, x, rep):
+        calls.append(rep)
+        return -(1.0 + t) * symbol_mod.laplace_symbol(rep)
+    sym = symbol_mod.Symbol(evaluator=evaluator, order=2.0, t_independent=False,
+                            two_L=4)
+    traj = [random_field(SU2, 4, seed=48 + i) for i in range(3)]
+    got = energy_identity_residual(traj, sym, None, 0.1)
+    assert len(calls) == 3 * 5
+    want = energy_identity_terms(traj, sym, None, 0.1)
+    assert all(abs(g - r) <= 1e-13 * scale for g, (r, scale) in zip(got, want))
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls of each named function, patched in every package module
+    that holds it."""
+    calls = []
+    for name in names:
+        for mod in (harmonic_mod, symbol_mod, evolve_mod):
+            if hasattr(mod, name):
+                def counted(*args, _fn=getattr(mod, name), _name=name, **kw):
+                    calls.append(_name)
+                    return _fn(*args, **kw)
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("generator", ["diagonal", "banded-X1", "x-dependent"])
+def test_diagnostics_build_no_weighted_field(monkeypatch, generator):
+    sym = _generator(generator)
+    problem = EvolutionProblem(sym, random_field(SU2, sym.two_L, seed=46),
+                               forcing=_forcing("constant", SU2, sym.two_L),
+                               T=0.2, s=1.0)
+    cls = classify_problem(sym)
+    calls = _count_calls(monkeypatch, ["weighted_field"])
+    evolve(problem, dt=0.05, classification=cls)
+    assert calls == []
+
+
+@pytest.mark.parametrize("generator", ["diagonal", "profile", "imaginary-diagonal"])
+def test_diagonal_pairing_applies_nothing(monkeypatch, generator):
+    """A diagonal x-independent generator's 2 Re(Kv, v) takes no K v and no
+    spectral_inner (the exact stepper's propagators apply no symbol)."""
+    sym = _generator(generator)
+    problem = EvolutionProblem(sym, random_field(SU2, 4, seed=47), T=0.2, s=1.0)
+    cls = classify_problem(sym)
+    calls = _count_calls(monkeypatch, ["invariant_apply", "spectral_inner"])
+    evolve(problem, scheme="exact", dt=0.05, classification=cls)
+    assert calls == []

@@ -187,6 +187,15 @@ def test_row_shift_indices(group, two_L):
     assert not lay.prev_row.flags.writeable and not lay.next_row.flags.writeable
 
 
+@pytest.mark.parametrize("group,two_L", LAYOUTS + [(SU2, 1)])
+def test_row_starts(group, two_L):
+    """row_starts lists the first entry of every block row, in buffer order."""
+    lay = field_layout(group, two_L)
+    want = [sl.start + r * d for sl, d in lay.slots.values() for r in range(d)]
+    assert lay.row_starts.tolist() == want
+    assert not lay.row_starts.flags.writeable
+
+
 @pytest.mark.parametrize("group,two_L", LAYOUTS)
 def test_bare_evaluator_matches_blocks(group, two_L):
     rng = np.random.default_rng(6)

@@ -53,6 +53,13 @@ CONFIGS = [
      {"operator": "-1*sublaplace - 1*id", "two_L": 6, "u0": "random 11",
       "dt": 0.02, "s": 0.5, "kind": "subelliptic",
       "weight_kind": "subelliptic"}),
+    ("negative-s-forced", "evolve",
+     {"operator": "-1*bessel^1", "two_L": 6, "u0": "random 16",
+      "forcing": "random 17", "dt": 0.02, "scheme": "exact", "s": -1.0}),
+    ("subelliptic-skew-forced", "evolve",
+     {"operator": "-1*sublaplace - 1*id + 1*X3", "two_L": 6, "u0": "random 18",
+      "forcing": "random 19", "dt": 0.02, "scheme": "cn", "s": 0.5,
+      "kind": "subelliptic", "weight_kind": "subelliptic"}),
     ("backward-exit-3", "evolve",
      {"operator": "laplace", "two_L": 6, "u0": "delta", "dt": 0.01}),
     ("circle", "evolve",
