@@ -134,13 +134,6 @@ def _apply(sym: Symbol, t: float, F: SpectralField) -> SpectralField:
     return apply_spectral(sym, t, F)
 
 
-def _mode_matrix(sym: Symbol, t: float, rep) -> np.ndarray:
-    """The generator block at rep; x-dependent symbols give their x-average."""
-    if sym.x_independent:
-        return np.asarray(sym.matrix(t, rep))
-    return averaged_matrix(sym, t, rep)
-
-
 # ---------------------------------------------------------------- stepping core
 #
 # The state is an (m, size) buffer whose row j is one packed field: m = 1 for
@@ -298,7 +291,7 @@ def step_exact_invariant(state: SpectralField, sym: Symbol, forcing=None,
         raise ValueError("exact stepper needs an x-independent symbol")
     layout = state.layout
     return _step_field("exact", state, None, forcing, t, dt, lambda tau, h: _propagators(
-        _operand(layout, 1, partial(_mode_matrix, sym), tau + 0.5 * h), layout, h))
+        _operand(layout, 1, partial(averaged_matrix, sym), tau + 0.5 * h), layout, h))
 
 
 def step_rk4(state: SpectralField, sym: Symbol, forcing=None,
@@ -325,7 +318,7 @@ def step_crank_nicolson(state: SpectralField, sym: Symbol, forcing=None,
     if sym.x_independent:
         # block by block: a per-entry product rounds unlike the matrix product
         return _step_field("cn", state, lambda tau: tuple(
-            _mode_matrix(sym, tau, rep) for rep in state.layout.reps), forcing, t, dt)
+            averaged_matrix(sym, tau, rep) for rep in state.layout.reps), forcing, t, dt)
     tm = t + 0.5 * dt
     fmid = _forcing_at(forcing, tm, state.layout)
     rhs = state + (0.5 * dt) * apply_spectral(sym, tm, state)
@@ -463,7 +456,7 @@ def evolve(problem: EvolutionProblem, scheme: str = "auto", dt: float = 1e-2,
     scheme, dt, trajectory = _integrate(
         u0.data[None].copy(), u0.layout, problem.T, dt, scheme,
         x_independent=sym.x_independent, t_independent=sym.t_independent,
-        forcing=problem.forcing, matrix=partial(_mode_matrix, sym),
+        forcing=problem.forcing, matrix=partial(averaged_matrix, sym),
         step=lambda scheme, U, t, h: _STEPPERS[scheme](
             field(U), sym, problem.forcing, t, h).data[None], record=field)
 

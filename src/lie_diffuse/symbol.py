@@ -53,6 +53,7 @@ from .harmonic import (
     field_layout,
     fourier_forward,
     fourier_inverse,
+    ladder_coefficients,
     quadrature_grid,
 )
 
@@ -65,11 +66,9 @@ _HERMITIAN_BASES = _DIAGONAL_BASES + ("d0", "iX3")
 @lru_cache(maxsize=None)
 def _ladder(two_ell: int):
     """Bands of Jz, J+, J- for the given doubled degree, increasing-j basis."""
-    j = np.arange(-two_ell, two_ell + 1, 2) / 2.0
-    ell = two_ell / 2.0
     Jz, Jp = np.zeros((2, 3, two_ell + 1), dtype=complex)
-    Jz[1] = j
-    Jp[0, 1:] = np.sqrt(ell * (ell + 1) - j[:-1] * (j[:-1] + 1))
+    Jz[1] = np.arange(-two_ell, two_ell + 1, 2) / 2.0
+    Jp[0, 1:] = ladder_coefficients(two_ell)
     return Jz, Jp, _adjoint(Jp)
 
 
@@ -507,11 +506,12 @@ def apply_spectral(sym: Symbol, t: float, F: SpectralField) -> SpectralField:
 def averaged_matrix(sym: Symbol, t: float, rep: RepIndex) -> np.ndarray:
     """Haar average over x of the symbol at one representation.
 
-    Used as a per-mode preconditioner for implicit solves with spatially
-    varying coefficients.
+    For an x-independent symbol this is its block (Symbol.matrix, cached
+    when t-independent); otherwise it serves as a per-mode preconditioner
+    for implicit solves with spatially varying coefficients.
     """
     if sym.x_independent:
-        return sym.evaluator(t, None, rep)
+        return np.asarray(sym.matrix(t, rep))
     if sym.terms is not None:
         trivial = RepIndex(sym.group) if sym.group == SU2 \
             else RepIndex(TORUS1, k=0)

@@ -247,6 +247,45 @@ def test_reduce_nan_solution_fails(tmp_path, monkeypatch):
     assert math.isnan(report["max_deviation_from_reference"])
 
 
+def _scaled_wave(tmp_path, scale):
+    """The exact-scheme damped wave with both data fields scaled."""
+    data = []
+    for seed in (3, 4):
+        path = tmp_path / f"data{seed}.json"
+        save_field(path, scale * random_field(SU2, 6, seed))
+        data.append(str(path))
+    return {"time_order": 2, "coefficients": ["-0.2*laplace^1/2", "-1*laplace"],
+            "data": data, "two_L": 6, "dt": 0.002, "scheme": "exact"}
+
+
+def test_reduce_verdict_is_relative_to_the_data_scale(tmp_path):
+    """Data x1e7 leaves the run as accurate as at unit scale: the
+    deviation grows with the data, and the verdict follows the reference's
+    size, as the reference's own tolerance does."""
+    code, out = run(tmp_path, _scaled_wave(tmp_path, 1e7), "reduce", "big")
+    report = json.loads((out / "report.json").read_text())
+    assert code == 0 and report["pass"] is True
+    assert report["max_deviation_from_reference"] > 1e-4   # absolute, as reported
+
+
+def test_reduce_relative_error_still_fails(tmp_path, monkeypatch):
+    """A solution off by 1e-3 relative fails at the large scale too."""
+    import lie_diffuse.cli as cli
+
+    real = cli.solve_reduced
+
+    def perturbed(*args, **kwargs):
+        trajectory = real(*args, **kwargs)
+        for F in trajectory[-1]:
+            F.data *= 1.0 + 1e-3
+        return trajectory
+
+    monkeypatch.setattr(cli, "solve_reduced", perturbed)
+    code, out = run(tmp_path, _scaled_wave(tmp_path, 1e7), "reduce", "off")
+    assert code == 3
+    assert json.loads((out / "report.json").read_text())["pass"] is False
+
+
 def test_reduce_reference_failure_exits_4(tmp_path, monkeypatch, capsys):
     import types
 

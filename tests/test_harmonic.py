@@ -82,7 +82,7 @@ def test_wigner_homomorphism_inverse():
         assert np.abs(a @ b - np.eye(tl + 1)).max() < 1e-10
 
 
-@pytest.mark.parametrize("tl", range(0, 9))
+@pytest.mark.parametrize("tl", [*range(0, 9), 16, 33, 64, 128])
 def test_wigner_matches_exponential(tl):
     # independent path: xi = exp(-i phi Jz) exp(-i theta Jy) exp(-i psi Jz)
     Jz, Jp, Jm = ladder(tl)

@@ -76,6 +76,9 @@ CONFIGS = [
      {"time_order": 3,
       "coefficients": ["-1*laplace^1/2", "-1*laplace", "-0.1*laplace^3/2"],
       "data": ["random 4", "random 5", "random 6"], "two_L": 4, "dt": 0.01}),
+    ("check-drift", "check",
+     {"operator": "-1*laplace^1/2 + 1*iX3 + 0.3*X1", "two_L": 6}),
+    ("transform-selftest", "transform-selftest", {"two_L": 24}),
 ]
 
 _NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|NaN|-?Infinity|nan|-?inf")
