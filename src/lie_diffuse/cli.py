@@ -15,10 +15,10 @@ unless --allow-unverified is given.
 Operators are written as signed sums of coefficient*base terms, e.g.
 "-1*laplace^1/2 + 1*iX3".  Bases: laplace^q, sublaplace^q (q >= 0),
 bessel^s, sbessel^s (Bessel weights of order s, subelliptic variant),
-d0, d+, d-, X1, X2, X3, iX3, id.  Exponents accept decimals or fractions
-(1/2).  Initial data: "delta" (bandlimited delta), "xi TWO_ELL I J"
-(single matrix coefficient; on the torus "xi K"), "random N" (seeded), or
-a path to a JSON field file.
+d0, d+, d-, X1, X2, X3, iX3, id (the symbol module's vocabulary).
+Exponents accept decimals or fractions (1/2).  Initial data: "delta"
+(bandlimited delta), "xi TWO_ELL I J" (single matrix coefficient; on the
+torus "xi K"), "random N" (seeded), or a path to a JSON field file.
 
 All outputs are byte-deterministic for a fixed config and seed: JSON is
 dumped with sorted keys and fixed separators, CSV floats with %.17g.
@@ -51,9 +51,10 @@ from .harmonic import (
     random_field,
     save_field,
 )
-from .symbol import WEIGHT_KINDS, OperatorSpec, OperatorTerm, build_operator_symbol
+from .symbol import (WEIGHT_KINDS, OperatorSpec, OperatorTerm, _check_term,
+                     build_operator_symbol)
 from .wellposed import classify_problem
-from .evolve import EvolutionProblem, SolverError, evolve
+from .evolve import EvolutionProblem, SolverError, _check_positive, evolve
 from .reduce import HigherOrderProblem, extract_u, reduce_to_first_order, solve_reduced
 
 
@@ -63,9 +64,6 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------- operator grammar
 
-_FIRST_ORDER = ("d0", "d+", "d-", "X1", "X2", "X3", "iX3")
-_DIFFUSION = ("laplace", "sublaplace")
-_WEIGHTS = ("bessel", "sbessel")
 _MANTISSA = re.compile(r"(\d+\.?\d*|\.\d+)[eE]")
 
 
@@ -106,7 +104,8 @@ def _parse_number(text: str, what: str) -> float:
 
 
 def parse_operator(expr: str) -> list[OperatorTerm]:
-    """Parse the signed-sum operator grammar into symbol terms."""
+    """Parse the signed-sum operator grammar into symbol terms; the bases
+    and their exponent rules are the symbol module's vocabulary."""
     terms = []
     for raw in _split_terms(expr):
         coef = 1.0
@@ -123,21 +122,11 @@ def parse_operator(expr: str) -> list[OperatorTerm]:
             exponent = _parse_number(estr, "exponent")
         else:
             base, exponent = body, None
-        if base in _DIFFUSION:
-            q = 1.0 if exponent is None else exponent
-            if q < 0.0:
-                raise ConfigError(
-                    f"exponent {q} out of range for {base} (needs q >= 0)")
-            terms.append(OperatorTerm(base, exponent=q, const=coef))
-        elif base in _WEIGHTS:
-            s = 1.0 if exponent is None else exponent
-            terms.append(OperatorTerm(base, exponent=s, const=coef))
-        elif base in _FIRST_ORDER or base == "id":
-            if exponent is not None:
-                raise ConfigError(f"base {base!r} takes no exponent")
-            terms.append(OperatorTerm(base, const=coef))
-        else:
-            raise ConfigError(f"unknown operator base {base!r}")
+        try:
+            exponent = _check_term(base, exponent)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        terms.append(OperatorTerm(base, exponent=exponent, const=coef))
     return terms
 
 
@@ -212,7 +201,6 @@ class RunConfig:
     scan_two_L: int | None = None
     time_samples: int = 17
     weight_kind: str = "elliptic"
-    min_weight: float = math.sqrt(2.0)
     time_order: int | None = None
     coefficients: list | None = None
     data: list | None = None
@@ -242,10 +230,11 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"unknown group {cfg.group!r}")
     if cfg.two_L < 0:
         raise ConfigError("bandlimit must be nonnegative")
-    if cfg.dt <= 0.0:
-        raise ConfigError("dt must be positive")
-    if cfg.T <= 0.0:
-        raise ConfigError("horizon T must be positive")
+    try:
+        _check_positive("dt", cfg.dt)
+        _check_positive("horizon T", cfg.T)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.scheme not in ("auto", "exact", "cn", "rk4"):
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
     if cfg.kind not in WEIGHT_KINDS or cfg.weight_kind not in WEIGHT_KINDS:
@@ -269,12 +258,13 @@ def _write_trajectory_csv(path: Path, report) -> None:
     path.write_text("".join(rows))
 
 
-def _build_symbol(cfg: RunConfig):
-    if cfg.operator is None:
+def _build_symbol(cfg: RunConfig, expr: str | None):
+    """The symbol of an operator expression; any rejection is a config error."""
+    if expr is None:
         raise ConfigError("config needs an 'operator' expression")
-    terms = parse_operator(cfg.operator)
     try:
-        return build_operator_symbol(OperatorSpec(cfg.group, cfg.two_L, terms))
+        return build_operator_symbol(
+            OperatorSpec(cfg.group, cfg.two_L, parse_operator(expr)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -292,7 +282,7 @@ def _classify(sym, cfg: RunConfig):
 # ---------------------------------------------------------------- commands
 
 def _cmd_check(cfg: RunConfig, out: Path, allow_unverified: bool) -> int:
-    sym = _build_symbol(cfg)
+    sym = _build_symbol(cfg, cfg.operator)
     cls = _classify(sym, cfg)
     _write_json(out / "report.json", {
         "command": "check", "group": cfg.group, "two_L": cfg.two_L,
@@ -303,7 +293,7 @@ def _cmd_check(cfg: RunConfig, out: Path, allow_unverified: bool) -> int:
 
 
 def _cmd_evolve(cfg: RunConfig, out: Path, allow_unverified: bool) -> int:
-    sym = _build_symbol(cfg)
+    sym = _build_symbol(cfg, cfg.operator)
     u0 = parse_field_spec(cfg.u0, cfg.group, cfg.two_L, cfg.seed)
     forcing = None
     if cfg.forcing is not None:
@@ -336,7 +326,7 @@ def _cmd_evolve(cfg: RunConfig, out: Path, allow_unverified: bool) -> int:
 REFERENCE_STIFFNESS_CAP = 1e3
 
 
-def _reduce_reference(sys, dt: float):
+def _reduce_reference(sys):
     """Independent check: integrate each per-mode block ODE on the dense
     block_matrix with explicit adaptive DOP853 (rtol 1e-10, atol 1e-12) and
     return the final stacked state per representation.  At these
@@ -392,16 +382,8 @@ def _cmd_reduce(cfg: RunConfig, out: Path, allow_unverified: bool) -> int:
     m = int(cfg.time_order)
     if len(cfg.coefficients) != m or len(cfg.data) != m:
         raise ConfigError(f"need {m} coefficient and data entries")
-    coeffs = []
-    for expr in cfg.coefficients:
-        if expr in (None, ""):
-            coeffs.append(None)
-        else:
-            try:
-                coeffs.append(build_operator_symbol(
-                    OperatorSpec(cfg.group, cfg.two_L, parse_operator(expr))))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+    coeffs = [None if expr in (None, "") else _build_symbol(cfg, expr)
+              for expr in cfg.coefficients]
     data = [parse_field_spec(spec, cfg.group, cfg.two_L, cfg.seed + i)
             for i, spec in enumerate(cfg.data)]
     forcing = None
@@ -414,7 +396,7 @@ def _cmd_reduce(cfg: RunConfig, out: Path, allow_unverified: bool) -> int:
     sys_ = reduce_to_first_order(prob)
     # first, so that a system too stiff for the reference fails before the
     # solve (RK4 substeps grow with the same norm)
-    reference = _reduce_reference(sys_, cfg.dt)
+    reference = _reduce_reference(sys_)
     trajectory = solve_reduced(sys_, scheme=cfg.scheme, dt=cfg.dt)
     u_final = extract_u(sys_, trajectory[-1:])[0]
     # np.max, unlike max(), carries a NaN deviation through to a failed run

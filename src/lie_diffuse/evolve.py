@@ -47,8 +47,9 @@ from .harmonic import (
     plancherel_norm,
     spectral_inner,
 )
-from .symbol import (WEIGHT_KINDS, Symbol, _invariant_operand, apply_spectral,
-                     averaged_matrix, bessel_weight, invariant_apply)
+from .symbol import (WEIGHT_KINDS, Symbol, _bands, _invariant_operand,
+                     _weight_base, apply_spectral, averaged_matrix,
+                     invariant_apply)
 from .wellposed import Classification, classify_problem
 
 
@@ -84,9 +85,9 @@ def _row_energies(fields) -> np.ndarray:     # (n, rows) per-row |v|^2
 def _norm_row(group: str, two_L: int, s: float, kind: str) -> np.ndarray:
     """Read-only d_xi <xi>_row^{2s} per block row (a Bessel weight is constant
     along a row): squared H^s norms are row energies dotted with it."""
-    lay = field_layout(group, two_L)
+    lay, base = field_layout(group, two_L), _weight_base(kind)
     row = lay.dims[lay.row_starts] * np.concatenate(
-        [np.diagonal(bessel_weight(rep, 2.0 * s, kind)).real for rep in lay.reps])
+        [_bands(rep, base, 2.0 * s)[1].real for rep in lay.reps])
     row.flags.writeable = False
     return row
 
@@ -115,8 +116,7 @@ class EvolutionProblem:
     kind: str = "elliptic"
 
     def __post_init__(self):
-        if self.T <= 0.0:
-            raise ValueError("horizon T must be positive")
+        _check_positive("horizon T", self.T)
         if self.kind not in WEIGHT_KINDS:
             raise ValueError(f"unknown norm kind {self.kind!r}")
         if not math.isfinite(self.s):
@@ -126,6 +126,12 @@ class EvolutionProblem:
 
     def forcing_at(self, t: float) -> SpectralField | None:
         return _forcing_at(self.forcing, t, self.u0.layout)
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Raise ValueError naming value unless it is positive and finite."""
+    if not (value > 0.0 and math.isfinite(value)):     # "not >" rejects NaN
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _apply(sym: Symbol, t: float, F: SpectralField) -> SpectralField:
@@ -376,6 +382,7 @@ def _integrate(U0: np.ndarray, layout, T: float, dt: float, scheme: str, *,
     matrices, operand or exact propagators are built once; RK4 substeps past
     its cap.  step(scheme, U, t, h) defaults to _step_modes, which also takes
     every cached exact step."""
+    _check_positive("dt", dt)
     if dt > T:
         raise ValueError("dt exceeds the horizon")
     n_steps = max(2, int(round(T / dt)))

@@ -127,8 +127,8 @@ class GridSpec:
     2*two_L + 1 uniform nodes.  Weights are normalized to total mass 1.
     Nodes are flattened in C order over (phi, theta, psi).
 
-    Instances are interned by quadrature_grid(); do not construct directly
-    unless a custom node count is required.
+    Instances are interned by quadrature_grid(); use it rather than
+    constructing a grid directly.
     """
 
     def __init__(self, group: str, two_L: int):
@@ -323,11 +323,11 @@ class SpectralField(Mapping):
 
 
 def ladder_coefficients(two_ell: int) -> np.ndarray:
-    """J+ ladder coefficients c_r = sqrt(ell(ell+1) - j_r(j_r+1)) for
+    """J+ ladder coefficients c_r = sqrt((ell - j_r)(ell + j_r + 1)) for
     r = 0..d-2, so that J+ maps |ell j_r> to c_r |ell j_{r+1}>."""
     j = np.arange(-two_ell, two_ell + 1, 2) / 2.0
     ell = two_ell / 2.0
-    return np.sqrt(ell * (ell + 1) - j[:-1] * (j[:-1] + 1))
+    return np.sqrt((ell - j[:-1]) * (ell + j[:-1] + 1))
 
 
 def wigner_d(two_ell: int, theta) -> np.ndarray:

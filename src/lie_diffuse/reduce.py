@@ -33,7 +33,7 @@ from scipy.linalg import expm
 
 from .harmonic import SpectralField
 from .symbol import Symbol, bessel_weight, weighted_field
-from .evolve import _forcing_at, _integrate
+from .evolve import _check_positive, _forcing_at, _integrate
 
 
 @dataclass
@@ -57,8 +57,7 @@ class HigherOrderProblem:
             raise ValueError(f"need {self.m} coefficient slots, got {len(self.coeffs)}")
         if len(self.data) != self.m:
             raise ValueError(f"need {self.m} data fields, got {len(self.data)}")
-        if self.T <= 0.0:
-            raise ValueError("horizon T must be positive")
+        _check_positive("horizon T", self.T)
         group, two_L = self.data[0].group, self.data[0].two_L
         for g in self.data:
             if g.group != group or g.two_L != two_L:

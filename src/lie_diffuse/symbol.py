@@ -24,18 +24,23 @@ projected back, which avoids aliasing.
 
 Every base is diagonal or a ladder matrix, so a structured symbol is held
 per representation as its (..., 3, d) bands: row r of the sub, main and
-super band holds A[r, r-1], A[r, r] and A[r, r+1].  One assembly (_assemble)
-sums coefficient * bands in term order for the evaluator (a dense matrix is
-the fill of its bands), averaged_matrix, the operands and the scans.  On a
-packed SpectralField, entry (r, c) of a block takes main[r] x[r, c] +
+super band holds A[r, r-1], A[r, r] and A[r, r+1].  _bands is the one place
+a base's spectrum is written, from lam = ell(ell+1) and j (k^2 and j = 0 on
+the circle); the dense builders (laplace_symbol, ..., bessel_weight) are the
+fill of its bands.  One assembly (_assemble) sums coefficient * bands in
+term order for the evaluator, averaged_matrix, the operands and the scans.
+On a packed SpectralField, entry (r, c) of a block takes main[r] x[r, c] +
 sub[r] x[r-1, c] + super[r] x[r+1, c] through the layout's row-shift
 indices, or main[r] x[r, c] alone when the off-bands vanish; only a bare
 evaluator's blocks are multiplied as matrices.  Base bands are built once
 per representation, operands once per layout (for a t-independent symbol).
+The base vocabulary is declared once below; _check_term enforces it for
+build_operator_symbol and the CLI grammar alike.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -57,10 +62,49 @@ from .harmonic import (
     quadrature_grid,
 )
 
-VECTOR_FIELDS = ("d0", "d+", "d-", "X1", "X2", "X3", "iX3")
+# The base vocabulary.  Classes: positive semidefinite diagonal bases, drift
+# (Hermitian first order), skew-adjoint fields and the ladder pair d+, d-.
+_PSD_BASES = ("laplace", "sublaplace", "bessel", "sbessel", "id")
+_DRIFT_BASES = ("iX3", "d0")
+_SKEW_BASES = ("X1", "X2", "X3")
+VECTOR_FIELDS = _DRIFT_BASES + _SKEW_BASES + ("d+", "d-")
+_HERMITIAN_BASES = _PSD_BASES + _DRIFT_BASES
+_SU2_ONLY = VECTOR_FIELDS + ("sublaplace", "sbessel")
+# The bases that take an exponent, with its least value; the others take
+# none, which OperatorTerm writes as exponent 1.0.
+_EXPONENT_MIN = {"laplace": 0.0, "sublaplace": 0.0,
+                 "bessel": -math.inf, "sbessel": -math.inf}
+# Order per unit exponent, keyed by every known base.
+_ORDER = {"laplace": 2.0, "sublaplace": 2.0, "bessel": 1.0, "sbessel": 1.0,
+          "id": 0.0, **dict.fromkeys(VECTOR_FIELDS, 1.0)}
 WEIGHT_KINDS = ("elliptic", "subelliptic")
-_DIAGONAL_BASES = ("laplace", "sublaplace", "bessel", "sbessel", "id")
-_HERMITIAN_BASES = _DIAGONAL_BASES + ("d0", "iX3")
+
+
+def _check_term(base: str, exponent: float | None, group: str | None = None) -> float:
+    """Enforce the base vocabulary on one term and return its exponent.
+
+    exponent None means none was written (1.0); group, when given, rules
+    out the SU(2)-only bases on another group.
+    """
+    if base not in _ORDER:
+        raise ValueError(f"unknown operator base {base!r}")
+    if exponent is None:
+        exponent = 1.0
+    elif base not in _EXPONENT_MIN:
+        raise ValueError(f"base {base!r} takes no exponent (got {exponent})")
+    elif exponent < _EXPONENT_MIN[base]:
+        raise ValueError(f"exponent {exponent} out of range for {base} "
+                         f"(needs q >= {_EXPONENT_MIN[base]:g})")
+    if group not in (None, SU2) and base in _SU2_ONLY:
+        raise ValueError(f"base {base!r} is defined on SU(2) only")
+    return exponent
+
+
+def _weight_base(kind: str) -> str:
+    """The Bessel base of a weight kind: bessel (elliptic) or sbessel."""
+    if kind not in WEIGHT_KINDS:
+        raise ValueError(f"unknown weight kind {kind!r}")
+    return "bessel" if kind == "elliptic" else "sbessel"
 
 
 @lru_cache(maxsize=None)
@@ -94,21 +138,12 @@ def _densify(bands: np.ndarray) -> np.ndarray:
 
 def laplace_symbol(rep: RepIndex) -> np.ndarray:
     """Symbol of the (positive) Laplacian: ell(ell+1) I, or k^2 on the circle."""
-    if rep.group == TORUS1:
-        return np.array([[float(rep.k ** 2)]], dtype=complex)
-    tl = rep.two_ell
-    lam = tl * (tl + 2) / 4.0
-    return lam * np.eye(tl + 1, dtype=complex)
+    return _densify(_bands(rep, "laplace", 1.0))
 
 
 def sublaplace_symbol(rep: RepIndex) -> np.ndarray:
     """Symbol of the sub-Laplacian -X1^2 - X2^2: diag(ell(ell+1) - j^2)."""
-    if rep.group != SU2:
-        raise ValueError("sublaplace_symbol is defined on SU(2) only")
-    tl = rep.two_ell
-    lam = tl * (tl + 2) / 4.0
-    j = np.arange(-tl, tl + 1, 2) / 2.0
-    return np.diag(lam - j ** 2).astype(complex)
+    return _densify(_bands(rep, "sublaplace", 1.0))
 
 
 def vector_field_symbol(name: str, rep: RepIndex) -> np.ndarray:
@@ -125,68 +160,39 @@ def bessel_weight(rep: RepIndex, s: float, kind: str = "elliptic") -> np.ndarray
     kind "subelliptic" uses the sub-Laplacian spectrum per diagonal slot,
     diag((1 + ell(ell+1) - j^2)^{s/2}).  On the circle the two coincide.
     """
-    if kind not in WEIGHT_KINDS:
-        raise ValueError(f"unknown weight kind {kind!r}")
-    if rep.group == TORUS1:
-        return np.array([[(1.0 + rep.k ** 2) ** (s / 2.0)]], dtype=complex)
-    tl = rep.two_ell
-    lam = tl * (tl + 2) / 4.0
-    if kind == "elliptic":
-        return (1.0 + lam) ** (s / 2.0) * np.eye(tl + 1, dtype=complex)
-    j = np.arange(-tl, tl + 1, 2) / 2.0
-    return np.diag((1.0 + lam - j ** 2) ** (s / 2.0)).astype(complex)
-
-
-def fractional_power(M: np.ndarray, p: float) -> np.ndarray:
-    """M^p for Hermitian positive semidefinite M, p >= 0.
-
-    Diagonal input takes the entrywise fast path; otherwise the power goes
-    through an eigendecomposition.  Eigenvalues in [-1e-12, 0) are clamped
-    to zero; anything more negative is an error, as is non-Hermitian input.
-    """
-    if p < 0:
-        raise ValueError("exponent must be nonnegative")
-    M = np.asarray(M, dtype=complex)
-    scale = max(1.0, float(np.abs(M).max()) if M.size else 1.0)
-    if np.abs(M - M.conj().T).max() > 1e-10 * scale:
-        raise ValueError("non-Hermitian input")
-    off = M - np.diag(np.diagonal(M))
-    if not np.any(off):
-        ev = np.real(np.diagonal(M)).copy()
-        if ev.min() < -1e-12 * scale:
-            raise ValueError(f"negative eigenvalue {ev.min():g}")
-        ev[ev < 0] = 0.0
-        return np.diag(ev ** p).astype(complex)
-    ev, V = np.linalg.eigh(M)
-    if ev.min() < -1e-12 * scale:
-        raise ValueError(f"negative eigenvalue {ev.min():g}")
-    ev = np.where(ev < 0, 0.0, ev)
-    return (V * ev ** p) @ V.conj().T
+    return _densify(_bands(rep, _weight_base(kind), float(s)))
 
 
 @lru_cache(maxsize=4096)
 def _bands(rep: RepIndex, base: str, exponent: float) -> np.ndarray:
     """Read-only (3, d) bands of a base symbol at rep (see the module
-    docstring); entries past the block edges are 0."""
+    docstring); entries past the block edges are 0.
+
+    Diffusion bases take numpy's array power, a flat (elliptic or circle)
+    Bessel weight Python's float power: the two can differ in the last bit,
+    and the CLI artifacts are pinned to these.
+    """
+    if rep.group != SU2 and (base in VECTOR_FIELDS or base == "sublaplace"):
+        raise ValueError(f"base {base!r} is defined on SU(2) only")
+    if rep.group == SU2:
+        tl = rep.two_ell
+        lam, j = tl * (tl + 2) / 4.0, np.arange(-tl, tl + 1, 2) / 2.0
+    else:
+        lam, j = float(rep.k ** 2), 0.0
+    spectrum = lam - j ** 2 if base in ("sublaplace", "sbessel") else lam
     out = np.zeros((3, rep.dim), dtype=complex)
     if base in VECTOR_FIELDS:
-        if rep.group != SU2:
-            raise ValueError("vector fields are defined on SU(2) only")
         Jz, Jp, Jm = _ladder(rep.two_ell)
         out = {"d0": Jz, "iX3": Jz, "d+": Jp, "d-": Jm, "X3": -1j * Jz,
                "X1": -0.5j * (Jp + Jm), "X2": 0.5 * (Jm - Jp)}[base]
+    elif base in ("laplace", "sublaplace"):
+        out[1] = np.full(rep.dim, spectrum) ** exponent
+    elif base in ("bessel", "sbessel"):
+        out[1] = (1.0 + spectrum) ** (exponent / 2.0)
     elif base == "id":
         out[1] = 1.0
-    elif base in ("laplace", "sublaplace"):
-        if exponent < 0:
-            raise ValueError(f"negative exponent {exponent} for {base}")
-        mat = laplace_symbol(rep) if base == "laplace" else sublaplace_symbol(rep)
-        out[1] = np.real(np.diagonal(mat)) ** exponent
-    elif base in ("bessel", "sbessel"):
-        kind = "elliptic" if base == "bessel" else "subelliptic"
-        out[1] = np.diagonal(bessel_weight(rep, exponent, kind))
     else:
-        raise ValueError(f"unknown base {base!r}")
+        raise ValueError(f"unknown operator base {base!r}")
     out.flags.writeable = False
     return out
 
@@ -241,19 +247,7 @@ def _apply_base(base: str, exponent: float, F: SpectralField) -> SpectralField:
 
 def weighted_field(F: SpectralField, s: float, kind: str = "elliptic") -> SpectralField:
     """Apply the order-s Bessel weight (see bessel_weight) per representation."""
-    if kind not in WEIGHT_KINDS:
-        raise ValueError(f"unknown weight kind {kind!r}")
-    return _apply_base("bessel" if kind == "elliptic" else "sbessel", float(s), F)
-
-
-def _base_order(base: str, exponent: float) -> float:
-    if base == "id":
-        return 0.0
-    if base in ("laplace", "sublaplace"):
-        return 2.0 * exponent
-    if base in ("bessel", "sbessel"):
-        return float(exponent)
-    return 1.0  # vector fields
+    return _apply_base(_weight_base(kind), float(s), F)
 
 
 @dataclass
@@ -319,7 +313,7 @@ class Symbol:
     base_grid: GridSpec | None = None
 
     def __post_init__(self):
-        self._space_samples: dict[tuple[int, int], np.ndarray] = {}
+        self._space_samples: dict[tuple[int, str, int], np.ndarray] = {}
         self._cache, self._cache_of = {}, None
 
     def _cached(self, key, build):
@@ -338,8 +332,9 @@ class Symbol:
         return self._cached(rep, lambda: self.evaluator(t, None, rep))
 
     def space_samples(self, term_index: int, grid: GridSpec) -> np.ndarray:
-        """Samples of a term's spatial coefficient on the given grid (cached)."""
-        key = (term_index, id(grid))
+        """Samples of a term's spatial coefficient on the given grid, cached
+        by what fixes the grid's nodes (a freed grid's id can be reused)."""
+        key = (term_index, grid.group, grid.two_L)
         if key not in self._space_samples:
             space = self.terms[term_index].space
             self._space_samples[key] = fourier_inverse(space, grid).values
@@ -350,9 +345,9 @@ def build_operator_symbol(spec: OperatorSpec) -> Symbol:
     """Compile an OperatorSpec into a Symbol.
 
     Spatial coefficients given as GridFields are Fourier-transformed at the
-    spec bandlimit; the checks reject sub-Laplacian or vector-field bases
-    off SU(2), negative diffusion exponents, and an exponent other than 1 on
-    a vector-field or id base.
+    spec bandlimit; every term must pass the base vocabulary (_check_term):
+    a known base, an exponent in its range (1.0 on a base without one), and
+    no SU(2)-only base on the circle.
     """
     if spec.group not in (SU2, TORUS1):
         raise ValueError(f"unknown group {spec.group!r}")
@@ -360,14 +355,8 @@ def build_operator_symbol(spec: OperatorSpec) -> Symbol:
     terms: list[OperatorTerm] = []
     hermitian = True
     for term in spec.terms:
-        if term.base in ("laplace", "sublaplace") and term.exponent < 0:
-            raise ValueError(
-                f"negative exponent {term.exponent} for {term.base}")
-        if term.base in VECTOR_FIELDS + ("id",) and term.exponent != 1.0:
-            raise ValueError(f"base {term.base!r} takes no exponent "
-                             f"(got {term.exponent})")
-        if spec.group == TORUS1 and term.base in VECTOR_FIELDS + ("sublaplace", "sbessel"):
-            raise ValueError(f"base {term.base!r} is defined on SU(2) only")
+        _check_term(term.base, None if term.exponent == 1.0 else term.exponent,
+                    spec.group)
         space = term.space
         if isinstance(space, GridField):
             space = fourier_forward(space, min(space.grid.two_L, spec.two_L))
@@ -380,7 +369,7 @@ def build_operator_symbol(spec: OperatorSpec) -> Symbol:
             hermitian = False
     x_indep = all(t.space is None for t in terms)
     t_indep = all(t.profile is None for t in terms)
-    order = max((_base_order(t.base, t.exponent) for t in terms), default=0.0)
+    order = max((_ORDER[t.base] * t.exponent for t in terms), default=0.0)
 
     sym = Symbol(evaluator=None, order=order, rho=spec.rho, delta=spec.delta,
                  kappa=spec.kappa, x_independent=x_indep, t_independent=t_indep,

@@ -40,11 +40,8 @@ from typing import Callable
 import numpy as np
 
 from .harmonic import SU2, TORUS1, RepIndex, dual_enumerate
-from .symbol import Symbol, _adjoint, _assemble, _densify, bessel_weight
-
-_PSD_BASES = ("laplace", "sublaplace", "bessel", "sbessel", "id")
-_DRIFT_BASES = ("iX3", "d0")
-_SKEW_BASES = ("X1", "X2", "X3")
+from .symbol import (_DRIFT_BASES, _PSD_BASES, _SKEW_BASES, Symbol, _adjoint,
+                     _assemble, _bands, _densify, _weight_base)
 
 
 def hermitian_part(M: np.ndarray) -> np.ndarray:
@@ -339,20 +336,19 @@ def strong_ellipticity_constant(sym: Symbol, T: float = 1.0,
     """
     times, nodes, scan_two_L = _scan_grid(sym, T, time_samples, scan_two_L,
                                           max_x_samples)
-    m = sym.order
+    m, base = sym.order, _weight_base(weight_kind)
     best = math.inf
     best_w = None
     best_ex = math.inf
     for rep, t, eigs in _scan(sym, times, nodes, scan_two_L,
-                              lambda rep: np.diagonal(
-                                  bessel_weight(rep, -m / 2.0, weight_kind))):
-        lam = rep.two_ell * (rep.two_ell + 2) / 4.0 if sym.group == SU2 \
-            else float(rep.k ** 2)
+                              lambda rep: _bands(rep, base, -m / 2.0)[1]):
         i = int(np.argmin(eigs))
         if eigs[i] < best:
             best = float(eigs[i])
             best_w = Witness(t, nodes[i], rep, best)
-        if (1.0 + lam) ** 0.5 >= min_weight and eigs[i] < best_ex:
+        # <xi> = (1 + lam)^{1/2}, the elliptic weight at rep
+        if float(_bands(rep, "bessel", 1.0)[1, 0].real) >= min_weight \
+                and eigs[i] < best_ex:
             best_ex = float(eigs[i])
     scanned = {"scan_two_L": scan_two_L, "time_samples": len(times),
                "x_samples": len(nodes)}

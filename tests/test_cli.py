@@ -107,6 +107,25 @@ def test_config_invariants(tmp_path):
         parse_config(str(bad))
 
 
+@pytest.mark.parametrize("key,value", [("T", math.nan), ("dt", math.nan),
+                                       ("T", math.inf)])
+def test_non_finite_horizon_or_step_exits_2(tmp_path, key, value, capsys):
+    cfg = write_config(tmp_path, operator="-1*bessel^2", two_L=2, **{key: value})
+    with pytest.raises(ConfigError, match=f"must be positive and finite, got {value}"):
+        parse_config(cfg)
+    assert main(["--config", cfg, "--command", "evolve",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"got {value}" in capsys.readouterr().err
+
+
+def test_min_weight_is_no_config_key(tmp_path):
+    cfg = write_config(tmp_path, operator="-1*bessel^2", two_L=2, min_weight=5)
+    with pytest.raises(ConfigError, match="unknown config keys: min_weight"):
+        parse_config(cfg)
+    assert main(["--config", cfg, "--command", "check",
+                 "--out", str(tmp_path / "out")]) == 2
+
+
 def test_config_overrides(tmp_path):
     path = write_config(tmp_path, operator="-laplace")
     cfg = parse_config(path, {"two_L": 4, "dt": 0.05, "seed": None})

@@ -206,6 +206,18 @@ def test_evolve_rejects_oversized_dt():
         evolve(EvolutionProblem(HEAT, u0, T=0.1), dt=0.5)
 
 
+@pytest.mark.parametrize("dt", [-0.1, 0.0, math.nan])
+def test_evolve_rejects_nonpositive_dt(dt):
+    with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}"):
+        evolve(EvolutionProblem(HEAT, random_field(SU2, 2, seed=1)), dt=dt)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, 0.0])
+def test_problem_rejects_bad_horizon(T):
+    with pytest.raises(ValueError, match=f"horizon T must be positive and finite, got {T}"):
+        EvolutionProblem(HEAT, random_field(SU2, 2, seed=1), T=T)
+
+
 def test_forcing_bandlimit_checked():
     with pytest.raises(ValueError):
         EvolutionProblem(HEAT, random_field(SU2, 4, seed=1),

@@ -85,6 +85,13 @@ def test_problem_rejects_nonpositive_horizon():
         HigherOrderProblem(2, [None, None], [zero, zero], T=0.0)
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf])
+def test_problem_rejects_non_finite_horizon(T):
+    zero = SpectralField.zeros(SU2, 4)
+    with pytest.raises(ValueError, match=f"horizon T must be positive and finite, got {T}"):
+        HigherOrderProblem(2, [None, None], [zero, zero], T=T)
+
+
 def test_problem_rejects_data_on_another_bandlimit():
     with pytest.raises(ValueError, match="data fields disagree"):
         HigherOrderProblem(2, [None, laplacian()],

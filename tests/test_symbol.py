@@ -5,6 +5,7 @@ from lie_diffuse.harmonic import (
     SU2,
     TORUS1,
     GridField,
+    GridSpec,
     RepIndex,
     SpectralField,
     dual_enumerate,
@@ -21,7 +22,6 @@ from lie_diffuse.symbol import (
     averaged_matrix,
     bessel_weight,
     build_operator_symbol,
-    fractional_power,
     invariant_apply,
     laplace_symbol,
     quantize_apply,
@@ -108,35 +108,6 @@ def test_sublaplace_matches_directional_derivative_oracle(tl):
     assert np.abs(oracle - sublaplace_symbol(su2(tl))).max() < 1e-8
 
 
-# ------------------------------------------------------------ fractional power
-
-def test_fractional_power_basics():
-    rng = np.random.default_rng(5)
-    A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    M = A @ A.conj().T
-    R = fractional_power(M, 0.5)
-    assert np.abs(R @ R - M).max() < 1e-10 * np.abs(M).max()
-    P = fractional_power(M, 0.3) @ fractional_power(M, 0.7)
-    assert np.abs(P - M).max() < 1e-10 * np.abs(M).max()
-
-
-def test_fractional_power_diagonal_fast_path():
-    D = np.diag([0.0, 1.0, 4.0])
-    assert np.abs(fractional_power(D, 0.5) - np.diag([0, 1, 2.0])).max() < 1e-15
-    # tiny negative diagonal is clamped
-    D2 = np.diag([-1e-13, 2.0])
-    assert fractional_power(D2, 0.5)[0, 0] == 0.0
-
-
-def test_fractional_power_errors():
-    with pytest.raises(ValueError, match="Hermitian"):
-        fractional_power(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5)
-    with pytest.raises(ValueError, match="negative eigenvalue"):
-        fractional_power(np.diag([-1.0, 1.0]), 0.5)
-    with pytest.raises(ValueError, match="nonnegative"):
-        fractional_power(np.eye(2), -1.0)
-
-
 # -------------------------------------------------------------- operator specs
 
 def test_build_operator_symbol_drift_example():
@@ -165,6 +136,11 @@ def test_build_rejects_exponent_on_vector_field():
 def test_build_rejects_exponent_on_id():
     with pytest.raises(ValueError, match="'id' takes no exponent"):
         build_operator_symbol(OperatorSpec(SU2, 4, [OperatorTerm("id", exponent=3.0)]))
+
+
+def test_build_rejects_unknown_base():
+    with pytest.raises(ValueError, match="unknown operator base 'lapalce'"):
+        build_operator_symbol(OperatorSpec(SU2, 2, [OperatorTerm("lapalce")]))
 
 
 def test_build_rejects_su2_bases_on_torus():
@@ -229,6 +205,20 @@ def test_multiplication_symbol_is_pointwise_product():
     got = quantize_apply(sym, 0.0, f)
     assert np.abs(got.values - a_vals * f.values).max() \
         < 1e-10 * np.abs(a_vals * f.values).max()
+
+
+def test_coefficient_samples_follow_non_interned_grids():
+    """A freed grid's id can come back for a grid of another size; the
+    cached coefficient samples must still be the new grid's."""
+    a = random_field(SU2, 2, 32)
+    sym = build_operator_symbol(OperatorSpec(SU2, 2, [OperatorTerm("id", space=a)]))
+    for tl in (4, 6, 4, 6):
+        g = GridSpec(SU2, tl)
+        f = fourier_inverse(random_field(SU2, tl, 33), g)
+        want = fourier_inverse(a, g).values * f.values
+        got = quantize_apply(sym, 0.0, f).values
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+        del g, f
 
 
 def test_apply_spectral_structured_matches_bare_evaluator():

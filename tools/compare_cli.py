@@ -78,6 +78,12 @@ CONFIGS = [
       "data": ["random 4", "random 5", "random 6"], "two_L": 4, "dt": 0.01}),
     ("check-drift", "check",
      {"operator": "-1*laplace^1/2 + 1*iX3 + 0.3*X1", "two_L": 6}),
+    ("check-subelliptic", "check",
+     {"operator": "-1*sbessel^2 + 0.5*d0 + 0.2*X3", "two_L": 6,
+      "weight_kind": "subelliptic"}),
+    ("circle-negative-s", "evolve",
+     {"group": "torus1", "operator": "-1*bessel^1 - 0.5*laplace", "two_L": 8,
+      "u0": "random 20", "forcing": "random 21", "dt": 0.01, "s": -1.0}),
     ("transform-selftest", "transform-selftest", {"two_L": 24}),
 ]
 
