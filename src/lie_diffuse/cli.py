@@ -31,8 +31,10 @@ import json
 import math
 import re
 import sys
+import types
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -202,8 +204,25 @@ class RunConfig:
     time_samples: int = 17
     weight_kind: str = "elliptic"
     time_order: int | None = None
-    coefficients: list | None = None
-    data: list | None = None
+    coefficients: list[str | None] | None = None
+    data: list[str] | None = None
+
+
+def _conforms(value, hint) -> bool:
+    """Whether a JSON value has the type a RunConfig annotation names: a
+    bool is no number, an int is a float, and an integral float an int."""
+    if get_origin(hint) is types.UnionType:
+        return any(_conforms(value, h) for h in get_args(hint))
+    if get_origin(hint) is list:
+        return (isinstance(value, list)
+                and all(_conforms(v, get_args(hint)[0]) for v in value))
+    if value is None or isinstance(value, bool):
+        return hint is type(value)
+    if hint is float:
+        return isinstance(value, (int, float))
+    if hint is int and isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, hint)
 
 
 def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
@@ -225,11 +244,23 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     merged = dict(raw)
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
+    hints = get_type_hints(RunConfig)
+    for key, value in merged.items():
+        hint = hints[key]
+        if not _conforms(value, hint):
+            name = hint.__name__ if hint in (int, float, str) else hint
+            raise ConfigError(f"config key {key!r} must be {name}, got {value!r}")
+        if isinstance(value, float) and int in (hint, *get_args(hint)):
+            merged[key] = int(value)
     cfg = RunConfig(**merged)
     if cfg.group not in (SU2, TORUS1):
         raise ConfigError(f"unknown group {cfg.group!r}")
     if cfg.two_L < 0:
         raise ConfigError("bandlimit must be nonnegative")
+    if cfg.scan_two_L is not None and cfg.scan_two_L < 0:
+        raise ConfigError(f"scan_two_L must be >= 0, got {cfg.scan_two_L}")
+    if cfg.time_samples < 1:
+        raise ConfigError(f"time_samples must be >= 1, got {cfg.time_samples}")
     try:
         _check_positive("dt", cfg.dt)
         _check_positive("horizon T", cfg.T)
@@ -292,7 +323,14 @@ def _cmd_check(cfg: RunConfig, out: Path, allow_unverified: bool) -> int:
     return 3
 
 
+def _check_step(cfg: RunConfig) -> None:
+    """evolve and reduce step through [0, T]; check runs with any dt."""
+    if cfg.dt > cfg.T:
+        raise ConfigError(f"dt = {cfg.dt} exceeds the horizon T = {cfg.T}")
+
+
 def _cmd_evolve(cfg: RunConfig, out: Path, allow_unverified: bool) -> int:
+    _check_step(cfg)
     sym = _build_symbol(cfg, cfg.operator)
     u0 = parse_field_spec(cfg.u0, cfg.group, cfg.two_L, cfg.seed)
     forcing = None
@@ -379,7 +417,8 @@ def _reduce_reference(sys):
 def _cmd_reduce(cfg: RunConfig, out: Path, allow_unverified: bool) -> int:
     if cfg.time_order is None or cfg.coefficients is None or cfg.data is None:
         raise ConfigError("reduce needs time_order, coefficients and data keys")
-    m = int(cfg.time_order)
+    _check_step(cfg)
+    m = cfg.time_order
     if len(cfg.coefficients) != m or len(cfg.data) != m:
         raise ConfigError(f"need {m} coefficient and data entries")
     coeffs = [None if expr in (None, "") else _build_symbol(cfg, expr)

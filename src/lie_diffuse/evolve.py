@@ -39,7 +39,6 @@ from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
-from scipy.linalg import expm
 
 from .harmonic import (
     SpectralField,
@@ -172,6 +171,13 @@ def _phi1(w: np.ndarray) -> np.ndarray:
     out = (np.exp(safe) - 1.0) / safe
     series = 1.0 + w / 2.0 + w * w / 6.0
     return np.where(small, series, out)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported on the first dense exact step so that
+    importing the package does not load scipy."""
+    from scipy.linalg import expm
+    return expm(a)
 
 
 def _operand(layout, m: int, matrix, t: float):

@@ -75,7 +75,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 SU2 = "su2"
 TORUS1 = "torus1"
@@ -333,6 +332,7 @@ def ladder_coefficients(two_ell: int) -> np.ndarray:
 def wigner_d(two_ell: int, theta) -> np.ndarray:
     """Little-d matrices d^{ell}(theta_b), shape (B, d, d), for any real
     angles theta (see the module docstring for the construction)."""
+    from scipy.linalg import eigh_tridiagonal   # loaded on first plan build
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     d = two_ell + 1
     j = np.arange(-two_ell, two_ell + 1, 2) / 2.0

@@ -29,11 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .harmonic import SpectralField
 from .symbol import Symbol, bessel_weight, weighted_field
-from .evolve import _check_positive, _forcing_at, _integrate
+from .evolve import _check_positive, _forcing_at, _integrate, expm
 
 
 @dataclass

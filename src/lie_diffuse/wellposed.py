@@ -190,8 +190,14 @@ def _scan_grid(sym: Symbol, T: float, time_samples: int,
     Times are Chebyshev-Lobatto points on [0, T] (endpoints included), the
     x-nodes every stride-th base-grid node, and the default depth is
     two_ell <= 2 two_L for x-dependent symbols, else 100 for diagonal
-    Hermitian parts and 40 otherwise.
+    Hermitian parts and 40 otherwise.  A negative depth or fewer than one
+    time sample would scan nothing and report the vacuous minimum +inf, so
+    both raise ValueError.
     """
+    if scan_two_L is not None and scan_two_L < 0:
+        raise ValueError(f"scan_two_L must be >= 0, got {scan_two_L}")
+    if time_samples < 1:
+        raise ValueError(f"time_samples must be >= 1, got {time_samples}")
     if sym.t_independent or time_samples == 1:
         times = [0.0]
     else:

@@ -126,6 +126,61 @@ def test_min_weight_is_no_config_key(tmp_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("key,value", [("scan_two_L", -2), ("time_samples", 0),
+                                       ("time_samples", -1)])
+def test_empty_scan_exits_2(tmp_path, key, value, capsys):
+    """A scan over no representation or no time reports the vacuous minimum
+    +inf: check of the anti-diffusion 1*laplace^1/2 exited 0 with CaseI."""
+    cfg = write_config(tmp_path, operator="1*laplace^1/2", two_L=4, **{key: value})
+    with pytest.raises(ConfigError, match=f"{key} must be >= [01], got {value}"):
+        parse_config(cfg)
+    assert main(["--config", cfg, "--command", "check",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("T", "1"), ("dt", "0.1"), ("operator", 5),
+                                       ("two_L", 2.5), ("two_L", True)])
+def test_mistyped_config_value_exits_2(tmp_path, key, value, capsys):
+    """Strings for numbers and a number for the operator raised TypeError or
+    AttributeError; a fractional or boolean two_L was accepted."""
+    cfg = write_config(tmp_path, **{"operator": "-1*bessel^2", "two_L": 4,
+                                    key: value})
+    with pytest.raises(ConfigError, match=re.escape(f"{key!r} must be")):
+        parse_config(cfg)
+    assert main(["--config", cfg, "--command", "check",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"{key!r} must be" in (err := capsys.readouterr().err)
+    assert repr(value) in err
+
+
+def test_config_number_types(tmp_path):
+    """An integral float is an int, and an int is a float."""
+    cfg = parse_config(write_config(tmp_path, operator="-laplace", two_L=4.0,
+                                    time_samples=3.0, T=2, coefficients=["", None]))
+    assert (cfg.two_L, cfg.time_samples, cfg.T) == (4, 3, 2)
+    assert type(cfg.two_L) is int and type(cfg.time_samples) is int
+    with pytest.raises(ConfigError, match="'data' must be"):
+        parse_config(write_config(tmp_path, data=["delta", 3]))
+
+
+@pytest.mark.parametrize("command", ["evolve", "reduce"])
+def test_step_beyond_horizon_exits_2(tmp_path, command, capsys):
+    """dt > T raised ValueError out of the stepping driver (exit 1)."""
+    cfg = write_config(tmp_path, operator="-1*bessel^2", two_L=2, time_order=2,
+                       coefficients=["", "-1*laplace"], data=["delta", "delta"],
+                       dt=2, T=1)
+    assert main(["--config", cfg, "--command", command,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "dt = 2 exceeds the horizon T = 1" in capsys.readouterr().err
+
+
+def test_check_takes_a_horizon_below_the_default_step(tmp_path):
+    cfg = write_config(tmp_path, operator="-1*bessel^2", two_L=2, T=5e-4)
+    assert main(["--config", cfg, "--command", "check",
+                 "--out", str(tmp_path / "out")]) == 0
+
+
 def test_config_overrides(tmp_path):
     path = write_config(tmp_path, operator="-laplace")
     cfg = parse_config(path, {"two_L": 4, "dt": 0.05, "seed": None})

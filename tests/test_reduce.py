@@ -327,3 +327,24 @@ def test_t_independent_generator_is_built_once_per_rep(scheme):
     sys.block_matrix = counted
     solve_reduced(sys, scheme=scheme, dt=0.01)
     assert len(calls) == len(set(calls)) == 17
+
+
+def test_exact_scheme_calls_the_module_expm(monkeypatch):
+    """solve_reduced looks up this module's expm at call time, so patching
+    the name lie_diffuse.reduce.expm (as perfbench's tracer does to count
+    reduce.expm.calls) sees every exponential the exact scheme takes."""
+    import lie_diffuse.reduce as reduce
+
+    calls = []
+    real = reduce.expm
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+    monkeypatch.setattr(reduce, "expm", counted)
+    v0 = mode_field(2)
+    sys = reduce_to_first_order(wave_problem(SpectralField.zeros(SU2, 4), v0))
+    u = extract_u(sys, solve_reduced(sys, scheme="exact", dt=0.02))
+    assert len(calls) >= 1
+    expect = math.sin(math.sqrt(2.0)) / math.sqrt(2.0)
+    assert u[-1][RepIndex(SU2, two_ell=2)][0, 0].real == pytest.approx(expect, abs=1e-12)

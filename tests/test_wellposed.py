@@ -456,6 +456,27 @@ def test_time_profile_tail_is_scan_limited():
     assert positivity_check(const).tail == "conclusive"
 
 
+def test_empty_depth_scan_is_rejected():
+    """scan_two_L = -2 scans no representation; the vacuous minimum +inf
+    once made the anti-diffusion +laplace^1/2 CaseI with C = inf."""
+    sym = drift_symbol(1.0, 0.0)
+    with pytest.raises(ValueError, match="scan_two_L must be >= 0, got -2"):
+        classify_problem(sym, scan_two_L=-2)
+    assert classify_problem(sym, scan_two_L=2).case == "Unverified"
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_empty_time_scan_is_rejected(samples):
+    """-p(t)*laplace^1/2 with p(t) = -1 is Unverified at 17 and at 1 time
+    samples; at 0 or -1 the scan was empty and gave CaseI with C = inf."""
+    sym = build_operator_symbol(OperatorSpec(SU2, 4, [
+        OperatorTerm("laplace", exponent=0.5, const=-1.0, profile=lambda t: -1.0)]))
+    for ok in (17, 1):
+        assert classify_problem(sym, time_samples=ok).case == "Unverified"
+    with pytest.raises(ValueError, match=f"time_samples must be >= 1, got {samples}"):
+        classify_problem(sym, time_samples=samples)
+
+
 def test_varcoef_scan_verdicts():
     """Amplitude 0.3 keeps c(x) > 0 (CaseII); 1.2 makes it change sign."""
     assert classify_problem(varcoef_symbol(0.3)).case == "CaseII"
