@@ -150,8 +150,8 @@ def test_mistyped_config_value_exits_2(tmp_path, key, value, capsys):
         parse_config(cfg)
     assert main(["--config", cfg, "--command", "check",
                  "--out", str(tmp_path / "out")]) == 2
-    assert f"{key!r} must be" in (err := capsys.readouterr().err)
-    assert repr(value) in err
+    err = capsys.readouterr().err
+    assert f"{key!r} must be" in err and repr(value) in err
 
 
 def test_config_number_types(tmp_path):
