@@ -261,6 +261,12 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"scan_two_L must be >= 0, got {cfg.scan_two_L}")
     if cfg.time_samples < 1:
         raise ConfigError(f"time_samples must be >= 1, got {cfg.time_samples}")
+    if not math.isfinite(cfg.s):
+        raise ConfigError(f"s must be finite, got {cfg.s}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.time_order is not None and cfg.time_order < 1:
+        raise ConfigError(f"time_order must be >= 1, got {cfg.time_order}")
     try:
         _check_positive("dt", cfg.dt)
         _check_positive("horizon T", cfg.T)
@@ -427,7 +433,7 @@ def _cmd_reduce(cfg: RunConfig, out: Path, allow_unverified: bool) -> int:
             for i, spec in enumerate(cfg.data)]
     forcing = None
     if cfg.forcing is not None:
-        forcing = parse_field_spec(cfg.forcing, cfg.group, cfg.two_L, cfg.seed - 1)
+        forcing = parse_field_spec(cfg.forcing, cfg.group, cfg.two_L, cfg.seed + m)
     try:
         prob = HigherOrderProblem(m, coeffs, data, forcing=forcing, T=cfg.T)
     except ValueError as exc:

@@ -91,11 +91,10 @@ class FirstOrderSystem:
     initial: list          # stacked u_j(0) = Gamma^{m-j} g_j
     forcing: object = None
     T: float = 1.0
-    gamma_kind: str = "elliptic"
     t_independent: bool = True
 
     def gamma_power(self, rep, power: float) -> np.ndarray:
-        return bessel_weight(rep, float(power), self.gamma_kind)
+        return bessel_weight(rep, float(power))
 
     def block_matrix(self, t: float, rep) -> np.ndarray:
         """The (m d) x (m d) companion matrix at one representation."""
@@ -117,15 +116,14 @@ class FirstOrderSystem:
         return _forcing_at(self.forcing, t, self.initial[0].layout)
 
 
-def reduce_to_first_order(p: HigherOrderProblem,
-                          gamma_kind: str = "elliptic") -> FirstOrderSystem:
+def reduce_to_first_order(p: HigherOrderProblem) -> FirstOrderSystem:
     """Build the companion system, with u_j(0) = Gamma^{m-j} g_j."""
     group, two_L = p.data[0].group, p.data[0].two_L
-    initial = [weighted_field(g, float(p.m - j), gamma_kind)
+    initial = [weighted_field(g, float(p.m - j))
                for j, g in enumerate(p.data, start=1)]
     t_indep = all(s is None or s.t_independent for s in p.coeffs)
     return FirstOrderSystem(p.m, group, two_L, list(p.coeffs), initial,
-                            p.forcing, p.T, gamma_kind, t_indep)
+                            p.forcing, p.T, t_indep)
 
 
 def solve_reduced(sys: FirstOrderSystem, scheme: str = "auto",
@@ -145,5 +143,5 @@ def solve_reduced(sys: FirstOrderSystem, scheme: str = "auto",
 
 def extract_u(sys: FirstOrderSystem, trajectory):
     """Recover u = Gamma^{-(m-1)} u_1 along a stacked trajectory."""
-    return [weighted_field(stacked[0], float(1 - sys.m), sys.gamma_kind)
+    return [weighted_field(stacked[0], float(1 - sys.m))
             for stacked in trajectory]

@@ -68,7 +68,6 @@ _PSD_BASES = ("laplace", "sublaplace", "bessel", "sbessel", "id")
 _DRIFT_BASES = ("iX3", "d0")
 _SKEW_BASES = ("X1", "X2", "X3")
 VECTOR_FIELDS = _DRIFT_BASES + _SKEW_BASES + ("d+", "d-")
-_HERMITIAN_BASES = _PSD_BASES + _DRIFT_BASES
 _SU2_ONLY = VECTOR_FIELDS + ("sublaplace", "sbessel")
 # The bases that take an exponent, with its least value; the others take
 # none, which OperatorTerm writes as exponent 1.0.
@@ -306,7 +305,6 @@ class Symbol:
     kappa: int = 1
     x_independent: bool = True
     t_independent: bool = True
-    hermitian: bool = False
     group: str = SU2
     two_L: int = 0
     terms: list[OperatorTerm] | None = None
@@ -353,7 +351,6 @@ def build_operator_symbol(spec: OperatorSpec) -> Symbol:
         raise ValueError(f"unknown group {spec.group!r}")
     grid = quadrature_grid(spec.group, spec.two_L)
     terms: list[OperatorTerm] = []
-    hermitian = True
     for term in spec.terms:
         _check_term(term.base, None if term.exponent == 1.0 else term.exponent,
                     spec.group)
@@ -365,22 +362,13 @@ def build_operator_symbol(spec: OperatorSpec) -> Symbol:
             raise ValueError("coefficient field does not match the spec grid")
         terms.append(OperatorTerm(term.base, term.exponent, complex(term.const),
                                   space, term.profile))
-        if term.base not in _HERMITIAN_BASES or abs(complex(term.const).imag) > 0:
-            hermitian = False
     x_indep = all(t.space is None for t in terms)
     t_indep = all(t.profile is None for t in terms)
     order = max((_ORDER[t.base] * t.exponent for t in terms), default=0.0)
 
     sym = Symbol(evaluator=None, order=order, rho=spec.rho, delta=spec.delta,
                  kappa=spec.kappa, x_independent=x_indep, t_independent=t_indep,
-                 hermitian=hermitian, group=spec.group, two_L=spec.two_L,
-                 terms=terms, base_grid=grid)
-
-    for i, term in enumerate(terms):
-        if term.space is not None:
-            samples = sym.space_samples(i, grid)
-            if np.abs(samples.imag).max() > 1e-10 * (1.0 + np.abs(samples.real).max()):
-                sym.hermitian = False
+                 group=spec.group, two_L=spec.two_L, terms=terms, base_grid=grid)
 
     def evaluator(t, x_node, rep):
         coefs = [term.at(t) for term in terms]
@@ -502,8 +490,7 @@ def averaged_matrix(sym: Symbol, t: float, rep: RepIndex) -> np.ndarray:
     if sym.x_independent:
         return np.asarray(sym.matrix(t, rep))
     if sym.terms is not None:
-        trivial = RepIndex(sym.group) if sym.group == SU2 \
-            else RepIndex(TORUS1, k=0)
+        trivial = RepIndex(sym.group)     # k = 0 on the circle
         coefs = [term.at(t) if term.space is None
                  else term.at(t) * term.space.coeffs[trivial][0, 0]
                  for term in sym.terms]

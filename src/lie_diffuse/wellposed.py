@@ -28,7 +28,7 @@ diagonal where the off-diagonals vanish, else from one batched eigvalsh of
 the dense matrices.  Scan order (representation, then time, then x-node)
 and the witness rules are those of a sample-by-sample loop: the witness of
 the minimum is its first occurrence, the failure witness the first sample
-below -tol.
+below -TOL.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ import numpy as np
 from .harmonic import SU2, TORUS1, RepIndex, dual_enumerate
 from .symbol import (_DRIFT_BASES, _PSD_BASES, _SKEW_BASES, Symbol, _adjoint,
                      _assemble, _bands, _densify, _weight_base)
+
+TOL = 1e-10                   # an eigenvalue below -TOL fails a scan
+MAX_X_SAMPLES = 160           # x-nodes scanned, at most (every stride-th)
+MIN_WEIGHT = math.sqrt(2.0)   # the excluded rerun keeps <xi> >= MIN_WEIGHT
 
 
 def hermitian_part(M: np.ndarray) -> np.ndarray:
@@ -101,9 +105,16 @@ class EllipticityReport:
 
 
 def _coef_range(term, sym, i):
-    """Interval bound for const * space(x) over the scan; None for a complex
-    constant or coefficient, and for a time profile, an opaque callable that
-    cannot be bounded between its samples."""
+    """Interval bound for const * space(x) over the whole group; None for a
+    complex constant or coefficient, and for a time profile, an opaque
+    callable that cannot be bounded between its samples.
+
+    space(x) = sum_xi d_xi Tr[xi(x) c_hat(xi)] with every xi(x) unitary, so
+    |space(x) - c_hat(1)| <= sum_{xi != 1} d_xi ||c_hat(xi)||_* (nuclear
+    norms; Ruzhansky & Turunen, Pseudo-Differential Operators and
+    Symmetries, 2010).  The base-grid samples would miss a dip between the
+    nodes.
+    """
     if abs(term.const.imag) > 0 or term.profile is not None:
         return None  # no structural reasoning
     lo = hi = term.const.real
@@ -111,7 +122,11 @@ def _coef_range(term, sym, i):
         s = sym.space_samples(i, sym.base_grid)
         if np.abs(s.imag).max() > 1e-10 * (1.0 + np.abs(s.real).max()):
             return None
-        cands = [lo * float(s.real.min()), lo * float(s.real.max())]
+        trivial = RepIndex(sym.group)     # k = 0 on the circle
+        mean = float(term.space[trivial][0, 0].real)
+        radius = sum(rep.dim * float(np.linalg.svd(c, compute_uv=False).sum())
+                     for rep, c in term.space.items() if rep != trivial)
+        cands = [lo * (mean - radius), lo * (mean + radius)]
         lo, hi = min(cands), max(cands)
     return lo, hi
 
@@ -183,16 +198,15 @@ def _herm_diagonal_everywhere(sym: Symbol) -> bool:
     return not np.any(H - np.diag(np.diagonal(H)))
 
 
-def _scan_grid(sym: Symbol, T: float, time_samples: int,
-               scan_two_L: int | None, max_x_samples: int):
+def _scan_grid(sym: Symbol, T: float, time_samples: int, scan_two_L: int | None):
     """Time samples, x-nodes and scan depth shared by both scans.
 
     Times are Chebyshev-Lobatto points on [0, T] (endpoints included), the
-    x-nodes every stride-th base-grid node, and the default depth is
-    two_ell <= 2 two_L for x-dependent symbols, else 100 for diagonal
-    Hermitian parts and 40 otherwise.  A negative depth or fewer than one
-    time sample would scan nothing and report the vacuous minimum +inf, so
-    both raise ValueError.
+    x-nodes every stride-th base-grid node (at most MAX_X_SAMPLES), and the
+    default depth is two_ell <= 2 two_L for x-dependent symbols, else 100
+    for diagonal Hermitian parts and 40 otherwise.  A negative depth or
+    fewer than one time sample would scan nothing and report the vacuous
+    minimum +inf, so both raise ValueError.
     """
     if scan_two_L is not None and scan_two_L < 0:
         raise ValueError(f"scan_two_L must be >= 0, got {scan_two_L}")
@@ -208,7 +222,7 @@ def _scan_grid(sym: Symbol, T: float, time_samples: int,
         nodes = [None]
     else:
         n = sym.base_grid.node_count
-        nodes = list(range(0, n, max(1, -(-n // max_x_samples))))
+        nodes = list(range(0, n, max(1, -(-n // MAX_X_SAMPLES))))
     if scan_two_L is None:
         if not sym.x_independent:
             scan_two_L = 2 * sym.two_L
@@ -284,18 +298,16 @@ def _scan(sym: Symbol, times: list[float], nodes: list, scan_two_L: int,
 
 
 def positivity_check(sym: Symbol, T: float = 1.0, time_samples: int = 17,
-                     scan_two_L: int | None = None, tol: float = 1e-10,
-                     max_x_samples: int = 160) -> EllipticityReport:
+                     scan_two_L: int | None = None) -> EllipticityReport:
     """Scan sigma_{-Re K} over (t, x, xi) for positive semidefiniteness.
 
     The verdict is "positive" when the smallest Hermitian-part eigenvalue of
-    -sigma stays above -tol, otherwise "failed" with the first violating
+    -sigma stays above -TOL, otherwise "failed" with the first violating
     sample as witness.  The scan depth defaults to two_ell <= 100 for
     diagonal Hermitian parts (40 otherwise) and is extended automatically
     when the structural tail analysis asks for more.
     """
-    times, nodes, scan_two_L = _scan_grid(sym, T, time_samples, scan_two_L,
-                                          max_x_samples)
+    times, nodes, scan_two_L = _scan_grid(sym, T, time_samples, scan_two_L)
     tail_kind, needed = _structural_tail(sym)
     if tail_kind == "extend":
         scan_two_L = max(scan_two_L, needed)
@@ -309,7 +321,7 @@ def positivity_check(sym: Symbol, T: float = 1.0, time_samples: int = 17,
             best = float(eigs[i])
             best_w = Witness(t, nodes[i], rep, best)
         if first_fail is None:
-            bad = np.flatnonzero(eigs < -tol)
+            bad = np.flatnonzero(eigs < -TOL)
             if bad.size:
                 i = int(bad[0])
                 first_fail = Witness(t, nodes[i], rep, float(eigs[i]))
@@ -328,20 +340,16 @@ def positivity_check(sym: Symbol, T: float = 1.0, time_samples: int = 17,
 def strong_ellipticity_constant(sym: Symbol, T: float = 1.0,
                                 time_samples: int = 17,
                                 scan_two_L: int | None = None,
-                                weight_kind: str = "elliptic",
-                                min_weight: float = math.sqrt(2.0),
-                                tol: float = 1e-10,
-                                max_x_samples: int = 160) -> EllipticityReport:
+                                weight_kind: str = "elliptic") -> EllipticityReport:
     """Largest C with Re(-sigma_K) >= C * W(xi)^m over the scan.
 
     W is the elliptic weight (1 + lambda)^{1/2} or its subelliptic diagonal
     analogue, raised to the symbol order m.  The strict verdict scans every
-    representation; a rerun excluding low frequencies (<xi> < min_weight) is
+    representation; a rerun excluding low frequencies (<xi> < MIN_WEIGHT) is
     reported alongside, since the strict bound degenerates whenever the
     symbol vanishes on the trivial representation.
     """
-    times, nodes, scan_two_L = _scan_grid(sym, T, time_samples, scan_two_L,
-                                          max_x_samples)
+    times, nodes, scan_two_L = _scan_grid(sym, T, time_samples, scan_two_L)
     m, base = sym.order, _weight_base(weight_kind)
     best = math.inf
     best_w = None
@@ -353,16 +361,16 @@ def strong_ellipticity_constant(sym: Symbol, T: float = 1.0,
             best = float(eigs[i])
             best_w = Witness(t, nodes[i], rep, best)
         # <xi> = (1 + lam)^{1/2}, the elliptic weight at rep
-        if float(_bands(rep, "bessel", 1.0)[1, 0].real) >= min_weight \
+        if float(_bands(rep, "bessel", 1.0)[1, 0].real) >= MIN_WEIGHT \
                 and eigs[i] < best_ex:
             best_ex = float(eigs[i])
     scanned = {"scan_two_L": scan_two_L, "time_samples": len(times),
                "x_samples": len(nodes)}
-    kind = "strongly_elliptic" if best > tol else "failed"
-    ex_kind = "strongly_elliptic" if best_ex > tol else "failed"
+    kind = "strongly_elliptic" if best > TOL else "failed"
+    ex_kind = "strongly_elliptic" if best_ex > TOL else "failed"
     return EllipticityReport(kind, best, best_w, scanned, tail="scan-limited",
                              excluded_constant=best_ex, excluded_kind=ex_kind,
-                             min_weight=min_weight)
+                             min_weight=MIN_WEIGHT)
 
 
 def garding_order_bound(rho: float, delta: float, kappa: int):

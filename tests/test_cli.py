@@ -1,13 +1,19 @@
 import math
 import json
+import os
 import re
+import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lie_diffuse.harmonic import SU2, TORUS1, RepIndex, random_field, save_field
 from lie_diffuse.cli import (
     ConfigError,
+    RunConfig,
     main,
     parse_config,
     parse_field_spec,
@@ -137,6 +143,32 @@ def test_empty_scan_exits_2(tmp_path, key, value, capsys):
     assert main(["--config", cfg, "--command", "check",
                  "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,command", [("seed", -1, "evolve"),
+                                               ("time_order", 0, "check"),
+                                               ("time_order", -1, "check")])
+def test_negative_seed_or_time_order_exits_2(tmp_path, key, value, command, capsys):
+    """seed -1 under a plain random u0 raised numpy's ValueError (exit 1);
+    check accepted and ignored time_order 0 and -1."""
+    cfg = write_config(tmp_path, operator="-1*bessel^2", two_L=2, u0="random",
+                       dt=0.1, **{key: value})
+    with pytest.raises(ConfigError, match=f"{key} must be >= [01], got {value}"):
+        parse_config(cfg)
+    assert main(["--config", cfg, "--command", command,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_reduce_plain_random_forcing_takes_seed_plus_m(tmp_path):
+    """A plain random reduce forcing took seed - 1, a traceback at the
+    default seed 0; it now takes seed + m, here 0 + 2."""
+    conf = {"time_order": 2, "coefficients": ["", "-1*laplace"],
+            "data": ["xi 2 0 0", "xi 1 0 0"], "two_L": 2, "dt": 0.01}
+    code, plain = run(tmp_path, {**conf, "forcing": "random"}, "reduce", "plain")
+    assert code == 0
+    _, seeded = run(tmp_path, {**conf, "forcing": "random 2"}, "reduce", "seeded")
+    assert (plain / "report.json").read_bytes() == (seeded / "report.json").read_bytes()
 
 
 @pytest.mark.parametrize("key,value", [("T", "1"), ("dt", "0.1"), ("operator", 5),
@@ -464,3 +496,51 @@ def test_reduce_reference_refuses_stiff_systems(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "refused at RepIndex(group='su2', two_ell=4" in err
     assert "2.27e+08 exceeds 1000" in err
+
+
+# ---------------------------------------------------------------- config property
+
+# Tiny configs that run clean; the property changes one key of one of them.
+TINY = {
+    "check": {"operator": "-1*bessel^2", "two_L": 2},
+    "evolve": {"operator": "-1*bessel^2", "two_L": 2, "u0": "random",
+               "T": 0.1, "dt": 0.05},
+    "reduce": {"time_order": 2, "coefficients": ["", "-1*laplace"],
+               "data": ["random", "delta"], "two_L": 2, "T": 0.1, "dt": 0.05},
+}
+# Strings the keys take, next to arbitrary short text.
+WORDS = ["delta", "random", "random 3", "xi 1 0 0", "xi 0", "", "-1*bessel^2",
+         "-1*laplace^1/2 + 1*iX3", "laplace", "su2", "torus1", "subelliptic",
+         "rk4", "cn", "exact"]
+# Numbers stay small, so that no draw asks for a large bandlimit, scan depth
+# or step count.
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 8)
+                | st.sampled_from([-1.5, -0.0, 0.03, 0.5, 2.5, math.nan, math.inf,
+                                   -math.inf])
+                | st.sampled_from(WORDS) | st.text(max_size=6))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3),
+                           max_leaves=4)
+
+
+@given(command=st.sampled_from(sorted(TINY)),
+       key=st.sampled_from([f.name for f in fields(RunConfig)]),
+       value=JSON_VALUES)
+@example(command="reduce", key="forcing", value="random")
+@example(command="evolve", key="seed", value=-1)
+@example(command="evolve", key="s", value=math.nan)
+@settings(max_examples=100, deadline=None)
+def test_one_bad_key_exits_with_a_documented_code(command, key, value):
+    """Any JSON value for any key of a tiny config exits 0, 2, 3 or 4; an
+    exception escaping main (a traceback, exit 1) fails.  The run works in
+    a fresh directory, so no drawn text names an existing file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with open("cfg.json", "w") as fh:
+                json.dump({**TINY[command], key: value}, fh)
+            code = main(["--config", "cfg.json", "--command", command,
+                         "--out", "out"])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3, 4)

@@ -119,7 +119,7 @@ def test_build_operator_symbol_drift_example():
     got = sym.evaluator(0.0, None, su2(2))
     s2 = np.sqrt(2.0)
     assert np.abs(got - np.diag([-s2 - 1, -s2, -s2 + 1])).max() < 1e-12
-    assert sym.x_independent and sym.t_independent and sym.hermitian
+    assert sym.x_independent and sym.t_independent
     assert sym.order == pytest.approx(1.0)
 
 
@@ -155,8 +155,6 @@ def test_symbol_metadata_flags():
     sym = build_operator_symbol(spec)
     assert sym.x_independent and not sym.t_independent
     assert sym.order == pytest.approx(2.0)
-    spec2 = OperatorSpec(SU2, 4, [OperatorTerm("X3", const=1.0)])
-    assert not build_operator_symbol(spec2).hermitian
 
 
 # ------------------------------------------------------------------ application

@@ -12,6 +12,7 @@ from lie_diffuse.harmonic import (
     GridField,
     RepIndex,
     dual_enumerate,
+    fourier_forward,
     fourier_inverse,
     quadrature_grid,
     random_field,
@@ -175,6 +176,34 @@ def test_positivity_space_dependent_diffusion():
     cls = classify_problem(sym)
     assert cls.case == "Unverified"
     assert "exceeds" in cls.reason
+
+
+def test_coefficient_dip_between_nodes_is_scan_limited():
+    """A coefficient positive at every base-grid node but negative between
+    them (minimum -0.103 on the two_L=48 grid) bounds no tail."""
+    g = quadrature_grid(SU2, 2)
+    c = fourier_forward(GridField(g, np.random.default_rng(3)
+                                  .standard_normal(75).astype(complex)), 2)
+    trivial = RepIndex(SU2)
+    c.coeffs[trivial] = c[trivial] + (0.001 - fourier_inverse(c, g).values.real.min())
+    assert fourier_inverse(c, g).values.real.min() > 0.0
+    assert fourier_inverse(c, quadrature_grid(SU2, 48)).values.real.min() < -0.1
+    sym = build_operator_symbol(OperatorSpec(SU2, 2, [
+        OperatorTerm("laplace", 0.5, const=-1.0, space=c)]))
+    cls = classify_problem(sym)
+    assert cls.positivity_report.kind == "positive"
+    assert cls.positivity_report.tail == "scan-limited"
+    assert cls.case == "CaseII"
+
+
+def test_circle_coefficient_range_reads_the_k0_block():
+    """The circle's layout starts at k = -two_L; the mean is the k = 0 block."""
+    g = quadrature_grid(TORUS1, 2)
+    coef = GridField(g, (1.5 + 0.4 * np.cos(g.theta)).astype(complex))
+    sym = build_operator_symbol(OperatorSpec(TORUS1, 2, [
+        OperatorTerm("laplace", const=-1.0, space=coef)]))
+    report = positivity_check(sym)
+    assert report.kind == "positive" and report.tail == "conclusive"
 
 
 def test_positivity_bare_symbol_is_scan_limited():
