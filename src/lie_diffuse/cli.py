@@ -56,7 +56,8 @@ from .harmonic import (
 from .symbol import (WEIGHT_KINDS, OperatorSpec, OperatorTerm, _check_term,
                      build_operator_symbol)
 from .wellposed import classify_problem
-from .evolve import EvolutionProblem, SolverError, _check_positive, evolve
+from .evolve import (EvolutionProblem, SolverError, _check_positive, _step_count,
+                     evolve)
 from .reduce import HigherOrderProblem, extract_u, reduce_to_first_order, solve_reduced
 
 
@@ -179,7 +180,11 @@ def parse_field_spec(spec: str, group: str, two_L: int, seed: int) -> SpectralFi
     path = Path(spec)
     if not path.exists():
         raise ConfigError(f"field file not found: {spec}")
-    F = load_field(path)
+    try:
+        F = load_field(path)
+    except (ValueError, KeyError, TypeError) as exc:   # JSON, key or shape error
+        raise ConfigError(f"field file {spec} is not a field snapshot: "
+                          f"{type(exc).__name__}: {exc}") from exc
     if F.group != group or F.two_L != two_L:
         raise ConfigError("field file group or bandlimit mismatch")
     return F
@@ -331,8 +336,10 @@ def _cmd_check(cfg: RunConfig, out: Path, allow_unverified: bool) -> int:
 
 def _check_step(cfg: RunConfig) -> None:
     """evolve and reduce step through [0, T]; check runs with any dt."""
-    if cfg.dt > cfg.T:
-        raise ConfigError(f"dt = {cfg.dt} exceeds the horizon T = {cfg.T}")
+    try:
+        _step_count(cfg.T, cfg.dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _cmd_evolve(cfg: RunConfig, out: Path, allow_unverified: bool) -> int:

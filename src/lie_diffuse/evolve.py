@@ -17,8 +17,9 @@ through its symbol.  Three steppers are provided:
   iterations), updating the iterate's buffer in place.
 
 All three, and reduce.solve_reduced on its packed companion rows, share one
-stepping core (exact, CN and RK4 updates per entry or per block) and one
-driver (_integrate) that snaps dt, picks the "auto" scheme, builds a
+stepping core (exact, CN and RK4 updates of any of its operand forms: per
+entry, per band, per block, or an x-dependent symbol's Galerkin action) and
+one driver (_integrate) that snaps dt, picks the "auto" scheme, builds a
 t-independent generator's operand or propagators once, and substeps RK4
 past its stability cap.  A diagonal generator's exact step is one per-entry
 product over the buffer.
@@ -46,7 +47,7 @@ from .harmonic import (
     plancherel_norm,
     spectral_inner,
 )
-from .symbol import (WEIGHT_KINDS, Symbol, _bands, _invariant_operand,
+from .symbol import (WEIGHT_KINDS, Symbol, _apply_op, _bands, _invariant_operand,
                      _weight_base, apply_spectral, averaged_matrix,
                      invariant_apply)
 from .wellposed import Classification, classify_problem
@@ -143,12 +144,18 @@ def _apply(sym: Symbol, t: float, F: SpectralField) -> SpectralField:
 #
 # The state is an (m, size) buffer whose row j is one packed field: m = 1 for
 # evolve, u_1..u_m of a companion system in the reduce module, whose forcing
-# (0, ..., 0, f) enters the last row.  matrix(t, rep) is the (m d) x (m d)
-# generator block.  When each of its d x d blocks is diagonal at every rep,
-# it couples entry (r, c) of a block only across the m rows; its operand is
-# then the (m, m, size) array of these per-entry m x m matrices, else the
-# tuple of blocks.  Exact propagators (P, Q) take the same two forms; a 1-D
-# block there is a diagonal.
+# (0, ..., 0, f) enters the last row.  An operand, the generator A at one
+# time, takes one of four forms, all applied by symbol._apply_op:
+# * the (m, m, size) array of per-entry m x m matrices, when each d x d block
+#   of the (m d) x (m d) generator block matrix(t, rep) is diagonal at every
+#   rep, so that A couples entry (r, c) of a block only across the m rows;
+# * the tuple of those blocks otherwise;
+# * the (3, size) bands of a tridiagonal symbol (m = 1, RK4's x-independent
+#   operand);
+# * a callable U -> A U (m = 1): an x-dependent symbol through apply_spectral,
+#   whose pre() is the x-averaged operand that CN preconditions with.
+# Exact propagators (P, Q) take the first two forms; a 1-D block there is a
+# diagonal.
 
 def _forcing_at(forcing, t: float, layout):
     """Forcing at time t (None, a field or a callable), on the state's layout."""
@@ -220,22 +227,28 @@ def _propagators(op, layout, dt: float, expm=expm):
     return np.repeat(P, sizes, axis=-1), np.repeat(Q, sizes, axis=-1)
 
 
-def _apply_op(op, U: np.ndarray, layout) -> np.ndarray:
-    """A U for an operand A, as a fresh buffer."""
-    if not isinstance(op, tuple):
-        out = op[:, 0] * U[0]
-        for j in range(1, len(U)):
-            out += op[:, j] * U[j]
-        return out
-    out = np.empty_like(U)
-    for (sl, d), A in zip(layout.slots.values(), op):   # each rep's (m d) x d block
-        V = U[:, sl].reshape(-1, d)
-        out[:, sl] = (A[:, None] * V if A.ndim == 1 else A @ V).reshape(len(U), -1)
-    return out
+CN_TOL = 1e-12
+CN_MAX_ITER = 200
 
 
 def _cn_solve(op, rhs: np.ndarray, dt: float, layout) -> np.ndarray:
-    """Solve (I - dt/2 A) X = rhs; diagonal blocks directly."""
+    """Solve (I - dt/2 A) X = rhs; diagonal blocks directly.  A callable A
+    is inverted by Richardson iteration preconditioned with its pre(), to a
+    residual of CN_TOL relative to the right side (norms are Plancherel's);
+    no convergence within CN_MAX_ITER iterations raises SolverError."""
+    if callable(op):
+        pre, dims = op.pre(), layout.dims
+        scale = math.sqrt(float(np.vdot(rhs, dims * rhs).real)) + 1.0
+        X = rhs.copy()
+        rnorm = math.inf
+        for _ in range(CN_MAX_ITER):
+            resid = rhs - (X - (0.5 * dt) * op(X))
+            rnorm = math.sqrt(float(np.vdot(resid, dims * resid).real))
+            if rnorm <= CN_TOL * scale:
+                return X
+            X += _cn_solve(pre, resid, dt, layout)
+        raise SolverError(f"Crank-Nicolson iteration stalled (residual {rnorm:.3e})",
+                          rnorm)
     if not isinstance(op, tuple):
         lhs = (np.eye(len(op))[..., None] - 0.5 * dt * op).transpose(2, 0, 1)
         return np.linalg.solve(lhs, rhs.T[..., None])[..., 0].T.copy()
@@ -248,15 +261,6 @@ def _cn_solve(op, rhs: np.ndarray, dt: float, layout) -> np.ndarray:
     return out
 
 
-def _rk4(rhs, v, t: float, dt: float):
-    """Classical RK4 for any state with + and scalar *; rhs(t, v) = dv/dt."""
-    k1 = rhs(t, v)
-    k2 = rhs(t + 0.5 * dt, v + (0.5 * dt) * k1)
-    k3 = rhs(t + 0.5 * dt, v + (0.5 * dt) * k2)
-    k4 = rhs(t + dt, v + dt * k3)
-    return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _step_modes(scheme: str, U: np.ndarray, layout, operand, forcing,
                 t: float, dt: float, propagators) -> np.ndarray:
     """One step of U' = A(t) U + (0, ..., 0, f(t)) on an (m, size) buffer;
@@ -266,8 +270,9 @@ def _step_modes(scheme: str, U: np.ndarray, layout, operand, forcing,
 
     def force(tau):       # (0, ..., 0, f(tau)) as a buffer, or None
         f = _forcing_at(forcing, tau, layout)
-        return None if f is None else np.concatenate([np.zeros_like(U[1:]),
-                                                      f.data[None]])
+        if f is None or len(U) == 1:    # m = 1 takes f's own buffer, uncopied
+            return None if f is None else f.data[None]
+        return np.concatenate([np.zeros_like(U[1:]), f.data[None]])
 
     if scheme == "exact":
         (P, Q), F = propagators(t, dt), force(tm)
@@ -281,10 +286,14 @@ def _step_modes(scheme: str, U: np.ndarray, layout, operand, forcing,
         return _cn_solve(A, rhs, dt, layout)
     fs = {tau: force(tau) for tau in (t, tm, t + dt)}
 
-    def rhs(tau, W):
+    def rhs(tau, W):      # classical RK4's dU/dt
         dW = _apply_op(operand(tau), W, layout)
         return dW if fs[tau] is None else dW + fs[tau]
-    return _rk4(rhs, U, t, dt)
+    k1 = rhs(t, U)
+    k2 = rhs(tm, U + (0.5 * dt) * k1)
+    k3 = rhs(tm, U + (0.5 * dt) * k2)
+    k4 = rhs(t + dt, U + dt * k3)
+    return U + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _step_field(scheme: str, state: SpectralField, operand, forcing, t: float,
@@ -306,20 +315,24 @@ def step_exact_invariant(state: SpectralField, sym: Symbol, forcing=None,
         _operand(layout, 1, partial(averaged_matrix, sym), tau + 0.5 * h), layout, h))
 
 
+def _symbol_operand(sym: Symbol, F: SpectralField, t: float):
+    """sym at t as a stepping-core operand on F's layout: its packed operand
+    when x-independent, else U -> K U through apply_spectral, with the
+    x-averaged operand as its pre()."""
+    if sym.x_independent:
+        return _invariant_operand(sym, t, F)
+
+    def op(U):
+        return apply_spectral(sym, t, F.with_data(U[0])).data[None]
+    op.pre = partial(_operand, F.layout, 1, partial(averaged_matrix, sym), t)
+    return op
+
+
 def step_rk4(state: SpectralField, sym: Symbol, forcing=None,
              t: float = 0.0, dt: float = 1e-2) -> SpectralField:
     """One classical Runge-Kutta step of the method-of-lines system."""
-
-    def rhs(tau, F):
-        out = _apply(sym, tau, F)
-        f = _forcing_at(forcing, tau, F.layout)
-        return out + f if f is not None else out
-
-    return _rk4(rhs, state, t, dt)
-
-
-CN_TOL = 1e-12
-CN_MAX_ITER = 200
+    return _step_field("rk4", state, partial(_symbol_operand, sym, state),
+                       forcing, t, dt)
 
 
 def step_crank_nicolson(state: SpectralField, sym: Symbol, forcing=None,
@@ -328,31 +341,14 @@ def step_crank_nicolson(state: SpectralField, sym: Symbol, forcing=None,
 
     x-independent symbols are solved mode by mode.  Otherwise
     (I - dt/2 K) is inverted by Richardson iteration preconditioned with
-    the x-averaged symbol, to a residual of CN_TOL relative to the right
-    side; no convergence within CN_MAX_ITER iterations raises SolverError.
+    the x-averaged symbol (see _cn_solve).
     """
-    if sym.x_independent:
-        # block by block: a per-entry product rounds unlike the matrix product
-        return _step_field("cn", state, lambda tau: tuple(
-            averaged_matrix(sym, tau, rep) for rep in state.layout.reps), forcing, t, dt)
-    tm = t + 0.5 * dt
-    fmid = _forcing_at(forcing, tm, state.layout)
-    rhs = state + (0.5 * dt) * apply_spectral(sym, tm, state)
-    if fmid is not None:
-        rhs = rhs + dt * fmid
-    layout = state.layout
-    pre = _operand(layout, 1, partial(averaged_matrix, sym), tm)
-    scale = math.sqrt(plancherel_norm(rhs)) + 1.0
-    v = rhs.copy()
-    rnorm = math.inf
-    for _ in range(CN_MAX_ITER):
-        resid = rhs - (v - (0.5 * dt) * apply_spectral(sym, tm, v))
-        rnorm = math.sqrt(plancherel_norm(resid))
-        if rnorm <= CN_TOL * scale:
-            return v
-        v.data += _cn_solve(pre, resid.data[None], dt, layout)[0]
-    raise SolverError(f"Crank-Nicolson iteration stalled (residual {rnorm:.3e})",
-                      rnorm)
+    # an x-independent symbol goes block by block: a per-entry product
+    # rounds unlike the matrix product
+    operand = (partial(_symbol_operand, sym, state) if not sym.x_independent
+               else lambda tau: tuple(averaged_matrix(sym, tau, rep)
+                                      for rep in state.layout.reps))
+    return _step_field("cn", state, operand, forcing, t, dt)
 
 
 # ---------------------------------------------------------------- driver
@@ -379,6 +375,18 @@ def _rk4_substeps(matrix, reps, t_independent: bool, T: float, dt: float) -> int
     return 1
 
 
+def _step_count(T: float, dt: float) -> int:
+    """Whole steps of about dt through [0, T], at least two; ValueError names
+    T and dt when dt is not positive and finite, exceeds T, or T / dt
+    overflows."""
+    _check_positive("dt", dt)
+    if dt > T:
+        raise ValueError(f"dt = {dt} exceeds the horizon T = {T}")
+    if not math.isfinite(T / dt):
+        raise ValueError(f"T / dt is not finite (T = {T}, dt = {dt})")
+    return max(2, int(round(T / dt)))
+
+
 def _integrate(U0: np.ndarray, layout, T: float, dt: float, scheme: str, *,
                x_independent: bool, t_independent: bool, forcing, matrix,
                expm=expm, step=None, record=lambda U: U):
@@ -389,10 +397,7 @@ def _integrate(U0: np.ndarray, layout, T: float, dt: float, scheme: str, *,
     matrices, operand or exact propagators are built once; RK4 substeps past
     its cap.  step(scheme, U, t, h) defaults to _step_modes, which also takes
     every cached exact step."""
-    _check_positive("dt", dt)
-    if dt > T:
-        raise ValueError("dt exceeds the horizon")
-    n_steps = max(2, int(round(T / dt)))
+    n_steps = _step_count(T, dt)
     dt = T / n_steps
     if scheme == "auto":
         scheme = "exact" if (x_independent and t_independent) else "cn"
@@ -519,8 +524,8 @@ def energy_identity_residual(trajectory, sym: Symbol, forcing_at,
             dE = (E[i + 1] - E[i - 1]) / (2.0 * dt)
         op = None if sym.terms is None or not sym.x_independent \
             else _invariant_operand(sym, t, v)     # a bare evaluator's is blocks
-        rhs = (2.0 * float(R[i] @ (dims * op[lay.row_starts].real))
-               if isinstance(op, np.ndarray) and op.ndim == 1   # K acts per entry
+        rhs = (2.0 * float(R[i] @ (dims * op[0, 0][lay.row_starts].real))
+               if isinstance(op, np.ndarray) and op.ndim == 3   # K acts per entry
                else 2.0 * spectral_inner(_apply(sym, t, v), v).real)
         f = forcing_at(t) if forcing_at is not None else None
         if f is not None:

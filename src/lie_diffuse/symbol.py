@@ -32,7 +32,9 @@ term order for the evaluator, averaged_matrix, the operands and the scans.
 On a packed SpectralField, entry (r, c) of a block takes main[r] x[r, c] +
 sub[r] x[r-1, c] + super[r] x[r+1, c] through the layout's row-shift
 indices, or main[r] x[r, c] alone when the off-bands vanish; only a bare
-evaluator's blocks are multiplied as matrices.  Base bands are built once
+evaluator's blocks are multiplied as matrices.  _apply_op is the one
+applier of these operands, and of the evolve module's stepping-core forms,
+on (m, size) buffers of packed fields.  Base bands are built once
 per representation, operands once per layout (for a t-independent symbol).
 The base vocabulary is declared once below; _check_term enforces it for
 build_operator_symbol and the CLI grammar alike.
@@ -208,26 +210,37 @@ def _assemble(terms, coefs, rep: RepIndex) -> np.ndarray:
 
 
 def _operand(bands, layout) -> np.ndarray:
-    """Per-entry operand over a layout from one (3, d) band stack per
-    representation: row k at entry (r, c) of a block is bands[k][r], and
-    only the main row is kept when both off-diagonals vanish."""
+    """Operand over a layout from one (3, d) band stack per representation:
+    the (3, size) bands, row k at entry (r, c) of a block being bands[k][r],
+    or the (1, 1, size) per-entry main row when both off-diagonals vanish."""
     rows = np.concatenate(bands, axis=1)
     if not (rows[0].any() or rows[2].any()):
-        rows = rows[1]
+        rows = rows[1][None, None]
     return np.repeat(rows, layout.row_sizes, axis=-1)
 
 
-def _apply_operand(op, F: SpectralField) -> SpectralField:
+def _apply_op(op, U: np.ndarray, layout) -> np.ndarray:
+    """A U for an operand A on an (m, size) buffer of packed fields, as a
+    fresh buffer.  A is an (m, m, size) array of per-entry m x m matrices,
+    the (3, size) bands of a tridiagonal symbol (m = 1), a tuple of
+    per-representation (m d) x (m d) blocks (a 1-D block is a diagonal), or
+    a callable U -> A U."""
+    if callable(op):
+        return op(U)
     if isinstance(op, tuple):
-        out = F.zeros_like()
-        for (rep, mat), A in zip(F.items(), op):
-            np.matmul(A, mat, out=out[rep])
+        out = np.empty_like(U)
+        for (sl, d), A in zip(layout.slots.values(), op):   # rows u_1..u_m stacked
+            V = U[:, sl].reshape(-1, d)
+            out[:, sl] = (A[:, None] * V if A.ndim == 1 else A @ V).reshape(len(U), -1)
         return out
-    x, lay = F.data, F.layout
-    if op.ndim == 1:
-        return F.with_data(op * x)
-    return F.with_data(op[1] * x + op[0] * x[lay.prev_row]
-                       + op[2] * x[lay.next_row])
+    if op.ndim == 2:
+        x = U[0]
+        return (op[1] * x + op[0] * x[layout.prev_row]
+                + op[2] * x[layout.next_row])[None]
+    out = op[:, 0] * U[0]
+    for j in range(1, len(U)):
+        out += op[:, j] * U[j]
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -241,7 +254,8 @@ def _base_operand(base: str, exponent: float, group: str, two_L: int):
 
 def _apply_base(base: str, exponent: float, F: SpectralField) -> SpectralField:
     """A base symbol applied per mode."""
-    return _apply_operand(_base_operand(base, exponent, F.group, F.two_L), F)
+    op = _base_operand(base, exponent, F.group, F.two_L)
+    return F.with_data(_apply_op(op, F.data[None], F.layout)[0])
 
 
 def weighted_field(F: SpectralField, s: float, kind: str = "elliptic") -> SpectralField:
@@ -399,7 +413,8 @@ def invariant_apply(sym: Symbol, F: SpectralField, t: float = 0.0) -> SpectralFi
     """Per-mode action fhat(xi) -> a(xi) fhat(xi) for x-independent symbols."""
     if not sym.x_independent:
         raise ValueError("invariant_apply requires an x-independent symbol")
-    return _apply_operand(_invariant_operand(sym, t, F), F)
+    return F.with_data(_apply_op(_invariant_operand(sym, t, F), F.data[None],
+                                 F.layout)[0])
 
 
 def _grid_rep_matrices(grid: GridSpec, rep: RepIndex) -> np.ndarray:

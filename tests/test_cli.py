@@ -248,6 +248,23 @@ def test_field_spec_random_and_file(tmp_path):
         assert np.allclose(H[rep], F[rep])
 
 
+@pytest.mark.parametrize("name,text", [
+    ("notes.md", "not JSON\n"),
+    ("other.json", '{"command": ["python3"]}'),
+    ("shape.json", '{"group": "su2", "two_L": 2, "coeffs": '
+                   '[{"two_ell": 1, "re": [[1.0]], "im": [[0.0]]}]}'),
+], ids=["not-json", "no-group-key", "wrong-block-shape"])
+def test_field_file_that_is_not_a_field_exits_2(tmp_path, capsys, name, text):
+    """A JSON decode, key or shape error from load_field once escaped main."""
+    path = tmp_path / name
+    path.write_text(text)
+    cfg = write_config(tmp_path, operator="-1*bessel^2", two_L=2, u0=str(path),
+                       T=0.1, dt=0.05)
+    assert main(["--config", cfg, "--command", "evolve",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"field file {path} is not a field snapshot" in capsys.readouterr().err
+
+
 def test_field_spec_errors():
     with pytest.raises(ConfigError, match="not found"):
         parse_field_spec("nowhere.json", SU2, 4, seed=0)
@@ -528,6 +545,7 @@ JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=
 @example(command="reduce", key="forcing", value="random")
 @example(command="evolve", key="seed", value=-1)
 @example(command="evolve", key="s", value=math.nan)
+@example(command="evolve", key="T", value=1e308)
 @settings(max_examples=100, deadline=None)
 def test_one_bad_key_exits_with_a_documented_code(command, key, value):
     """Any JSON value for any key of a tiny config exits 0, 2, 3 or 4; an

@@ -15,7 +15,8 @@ from lie_diffuse.harmonic import (
     quadrature_grid,
     random_field,
 )
-from lie_diffuse.symbol import OperatorSpec, OperatorTerm, apply_spectral, build_operator_symbol
+from lie_diffuse.symbol import (OperatorSpec, OperatorTerm, Symbol, apply_spectral,
+                                build_operator_symbol)
 from lie_diffuse.evolve import (
     EvolutionProblem,
     SolverError,
@@ -206,6 +207,13 @@ def test_evolve_rejects_oversized_dt():
         evolve(EvolutionProblem(HEAT, u0, T=0.1), dt=0.5)
 
 
+def test_evolve_rejects_an_overflowing_step_count():
+    """T / dt = inf once ended in OverflowError converting it to a count."""
+    u0 = random_field(SU2, 2, seed=12)
+    with pytest.raises(ValueError, match=r"T / dt is not finite \(T = 1e\+308, dt = 0.05\)"):
+        evolve(EvolutionProblem(HEAT, u0, T=1e308), dt=0.05)
+
+
 @pytest.mark.parametrize("dt", [-0.1, 0.0, math.nan])
 def test_evolve_rejects_nonpositive_dt(dt):
     with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}"):
@@ -334,14 +342,19 @@ def xdep_symbol(amp=0.4, two_L=2):
 
 
 def test_cn_xdep_solves_the_implicit_system():
+    """The structured x-dependent symbol and its bare twin (the evaluator
+    alone, preconditioned with averaged_matrix's quadrature average)."""
     sym = xdep_symbol()
+    bare = Symbol(sym.evaluator, sym.order, x_independent=False, group=SU2,
+                  two_L=sym.two_L, base_grid=sym.base_grid)
     u0 = random_field(SU2, 2, seed=21)
     dt = 0.05
-    v = step_crank_nicolson(u0, sym, None, 0.0, dt)
-    lhs = v - (0.5 * dt) * apply_spectral(sym, 0.5 * dt, v)
-    rhs = u0 + (0.5 * dt) * apply_spectral(sym, 0.5 * dt, u0)
-    err = math.sqrt(plancherel_norm(lhs - rhs))
-    assert err < 1e-11 * (1.0 + math.sqrt(plancherel_norm(rhs)))
+    for K in (sym, bare):
+        v = step_crank_nicolson(u0, K, None, 0.0, dt)
+        lhs = v - (0.5 * dt) * apply_spectral(K, 0.5 * dt, v)
+        rhs = u0 + (0.5 * dt) * apply_spectral(K, 0.5 * dt, u0)
+        err = math.sqrt(plancherel_norm(lhs - rhs))
+        assert err < 1e-11 * (1.0 + math.sqrt(plancherel_norm(rhs)))
 
 
 def test_cn_xdep_constant_coefficient_agrees_with_invariant():

@@ -485,6 +485,25 @@ def test_time_profile_tail_is_scan_limited():
     assert positivity_check(const).tail == "conclusive"
 
 
+@pytest.mark.parametrize("drift,depth,kind,witness", [
+    ((3.0,), 8, "failed", (1, -0.75)),
+    ((0.5,), 3, "positive", (0, 0.0)),
+    ((1.0, -1.0), 0, "positive", (0, 0.0)),
+], ids=["drift-wins-at-low-degree", "drift-dominated", "drift-cancels"])
+def test_laplace_drift_tail_sets_the_scan_depth(drift, depth, kind, witness):
+    """-laplace + a3*iX3 (order m = 2) scanned from depth 0: the Laplacian
+    dominates the drift past 2 ell = 2 |a3|, so the scan extends to
+    2 |a3| + 2; a cancelling pair iX3 - iX3 needs no extension.  Every
+    verdict is conclusive."""
+    terms = [OperatorTerm("laplace", const=-1.0)]
+    terms += [OperatorTerm("iX3", const=a3) for a3 in drift]
+    report = positivity_check(build_operator_symbol(OperatorSpec(SU2, 4, terms)),
+                              scan_two_L=0)
+    assert (report.kind, report.tail) == (kind, "conclusive")
+    assert report.scanned["scan_two_L"] == depth
+    assert (report.witness.rep.two_ell, report.witness.eig) == witness
+
+
 def test_empty_depth_scan_is_rejected():
     """scan_two_L = -2 scans no representation; the vacuous minimum +inf
     once made the anti-diffusion +laplace^1/2 CaseI with C = inf."""

@@ -4,7 +4,10 @@
 
 OLD_SRC and NEW_SRC are ``src/`` directories (for example a checkout of the
 parent commit and this tree).  Each config runs once per tree in a fresh
-process with ``PYTHONPATH`` pointed at that tree.  For every config the
+process with ``PYTHONPATH`` pointed at that tree.  Configs of the command
+``library`` run LIBRARY instead of the CLI: the CLI grammar has no spatial
+coefficients or time profiles, so only the library reaches the
+x-dependent steppers.  For every config the
 script prints the two exit codes and, per artifact, whether the bytes match
 and the largest relative difference between corresponding numbers.  The
 exit status is 1 when any exit code or artifact differs, else 0.
@@ -23,6 +26,38 @@ from pathlib import Path
 REDUCE = {"time_order": 2, "coefficients": ["-0.2*laplace^1/2", "-1*laplace"],
           "data": ["random 1", "random 2"], "forcing": "random 3",
           "two_L": 6, "dt": 0.01}
+
+# The varcoef-cn symbol -c(x) p(t) laplace^1/2 + 0.2*iX3 of perfbench, with
+# c = 1 + 0.3 Re(random field at two_L=4, seed 5) max-normalised and
+# p(t) = 1 + 0.5 sin 3t, stepped from a random u0 at two_L=10 to T=1 with
+# dt=0.05; the forcing, when asked for, is (1 + t) times a random field.
+# Writes the final state and the energy report to the output directory.
+LIBRARY = """
+import json, math, sys
+from pathlib import Path
+import numpy as np
+from lie_diffuse.harmonic import (GridField, fourier_inverse, quadrature_grid,
+                                  random_field, save_field)
+from lie_diffuse.symbol import OperatorSpec, OperatorTerm, build_operator_symbol
+from lie_diffuse.evolve import EvolutionProblem, evolve
+
+cfg = json.loads(Path(sys.argv[1]).read_text())
+out = Path(sys.argv[2])
+grid = quadrature_grid("su2", 4)
+r = fourier_inverse(random_field("su2", 4, 5), grid).values.real
+c = GridField(grid, 1.0 + 0.3 * r / np.abs(r).max())
+sym = build_operator_symbol(OperatorSpec("su2", 4, [
+    OperatorTerm("laplace", exponent=0.5, const=-1.0, space=c,
+                 profile=lambda t: 1.0 + 0.5 * math.sin(3.0 * t)),
+    OperatorTerm("iX3", const=0.2)]))
+f = random_field("su2", 10, 6)
+forcing = (lambda t: (1.0 + t) * f) if cfg["forcing"] else None
+traj, report = evolve(EvolutionProblem(sym, random_field("su2", 10, 5), forcing,
+                                       T=1.0, s=0.5), scheme=cfg["scheme"], dt=0.05)
+out.mkdir()
+save_field(out / "state_final.json", traj[-1])
+(out / "report.json").write_text(json.dumps(report.to_json_dict(), sort_keys=True))
+"""
 
 # (name, command, config)
 CONFIGS = [
@@ -85,6 +120,8 @@ CONFIGS = [
      {"group": "torus1", "operator": "-1*bessel^1 - 0.5*laplace", "two_L": 8,
       "u0": "random 20", "forcing": "random 21", "dt": 0.01, "s": -1.0}),
     ("transform-selftest", "transform-selftest", {"two_L": 24}),
+    ("varcoef-cn", "library", {"scheme": "cn", "forcing": False}),
+    ("varcoef-rk4-forced", "library", {"scheme": "rk4", "forcing": True}),
 ]
 
 _NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|NaN|-?Infinity|nan|-?inf")
@@ -95,10 +132,11 @@ def run_tree(src: Path, command: str, config: dict, workdir: Path) -> int:
     cfg = workdir / "config.json"
     cfg.write_text(json.dumps(config, sort_keys=True))
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
-    proc = subprocess.run(
-        [sys.executable, "-m", "lie_diffuse.cli", "--config", str(cfg),
-         "--command", command, "--out", str(workdir / "out")],
-        env=env, capture_output=True, text=True, timeout=600)
+    args = ["-c", LIBRARY, str(cfg), str(workdir / "out")] if command == "library" \
+        else ["-m", "lie_diffuse.cli", "--config", str(cfg), "--command", command,
+              "--out", str(workdir / "out")]
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=600)
     return proc.returncode
 
 
