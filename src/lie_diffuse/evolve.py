@@ -522,10 +522,9 @@ def energy_identity_residual(trajectory, sym: Symbol, forcing_at,
             dE = (3.0 * E[i] - 4.0 * E[i - 1] + E[i - 2]) / (2.0 * dt)
         else:
             dE = (E[i + 1] - E[i - 1]) / (2.0 * dt)
-        op = None if sym.terms is None or not sym.x_independent \
-            else _invariant_operand(sym, t, v)     # a bare evaluator's is blocks
+        op = _invariant_operand(sym, t, v) if sym.x_independent else None
         rhs = (2.0 * float(R[i] @ (dims * op[0, 0][lay.row_starts].real))
-               if isinstance(op, np.ndarray) and op.ndim == 3   # K acts per entry
+               if op is not None and op.ndim == 3     # K acts per entry
                else 2.0 * spectral_inner(_apply(sym, t, v), v).real)
         f = forcing_at(t) if forcing_at is not None else None
         if f is not None:

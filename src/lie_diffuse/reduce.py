@@ -93,15 +93,12 @@ class FirstOrderSystem:
     T: float = 1.0
     t_independent: bool = True
 
-    def gamma_power(self, rep, power: float) -> np.ndarray:
-        return bessel_weight(rep, float(power))
-
     def block_matrix(self, t: float, rep) -> np.ndarray:
         """The (m d) x (m d) companion matrix at one representation."""
         d = rep.dim
         m = self.m
         B = np.zeros((m * d, m * d), dtype=complex)
-        G = self.gamma_power(rep, 1.0)
+        G = bessel_weight(rep, 1.0)
         for j in range(m - 1):
             B[j * d:(j + 1) * d, (j + 1) * d:(j + 2) * d] = G
         for i in range(m):
@@ -109,7 +106,7 @@ class FirstOrderSystem:
             if a is None:
                 continue
             A = np.asarray(a.matrix(t, rep))
-            B[(m - 1) * d:, i * d:(i + 1) * d] = A @ self.gamma_power(rep, i + 1 - m)
+            B[(m - 1) * d:, i * d:(i + 1) * d] = A @ bessel_weight(rep, i + 1 - m)
         return B
 
     def forcing_at(self, t: float):

@@ -18,9 +18,11 @@ ell(ell+1) I and the sub-Laplacian -X1^2 - X2^2 has diag(ell(ell+1) - j^2).
 
 Operators are described structurally as sums of coefficient * base terms
 (OperatorSpec); coefficients may be constants, bandlimited spatial fields,
-and scalar time profiles.  Products of a spatial coefficient with a
-bandlimited state are formed on a grid resolving the combined bandwidth and
-projected back, which avoids aliasing.
+and scalar time profiles.  A Symbol is its terms: every metadata value and
+its dense evaluator are computed from them, and every application path
+reads them.  Products of a spatial coefficient with a bandlimited state are
+formed on a grid resolving the combined bandwidth and projected back, which
+avoids aliasing.
 
 Every base is diagonal or a ladder matrix, so a structured symbol is held
 per representation as its (..., 3, d) bands: row r of the sub, main and
@@ -31,17 +33,19 @@ fill of its bands.  One assembly (_assemble) sums coefficient * bands in
 term order for the evaluator, averaged_matrix, the operands and the scans.
 On a packed SpectralField, entry (r, c) of a block takes main[r] x[r, c] +
 sub[r] x[r-1, c] + super[r] x[r+1, c] through the layout's row-shift
-indices, or main[r] x[r, c] alone when the off-bands vanish; only a bare
-evaluator's blocks are multiplied as matrices.  _apply_op is the one
-applier of these operands, and of the evolve module's stepping-core forms,
-on (m, size) buffers of packed fields.  Base bands are built once
-per representation, operands once per layout (for a t-independent symbol).
-The base vocabulary is declared once below; _check_term enforces it for
-build_operator_symbol and the CLI grammar alike.
+indices, or main[r] x[r, c] alone when the off-bands vanish.  _apply_op
+is the one applier of these operands, and of the evolve module's
+stepping-core forms (among them the dense blocks of reduce's companion
+systems and of x-independent Crank-Nicolson), on (m, size) buffers of
+packed fields.  Base bands are built once per representation, operands
+once per layout (for a t-independent symbol).  The base vocabulary is
+declared once below; _check_term enforces it for Symbol (and so
+build_operator_symbol) and the CLI grammar alike.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -56,7 +60,6 @@ from .harmonic import (
     GridSpec,
     RepIndex,
     SpectralField,
-    dual_enumerate,
     field_layout,
     fourier_forward,
     fourier_inverse,
@@ -85,7 +88,8 @@ def _check_term(base: str, exponent: float | None, group: str | None = None) -> 
     """Enforce the base vocabulary on one term and return its exponent.
 
     exponent None means none was written (1.0); group, when given, rules
-    out the SU(2)-only bases on another group.
+    out the SU(2)-only bases on another group.  A NaN or infinite exponent
+    is out of every range (NaN compares False with any bound).
     """
     if base not in _ORDER:
         raise ValueError(f"unknown operator base {base!r}")
@@ -93,6 +97,8 @@ def _check_term(base: str, exponent: float | None, group: str | None = None) -> 
         exponent = 1.0
     elif base not in _EXPONENT_MIN:
         raise ValueError(f"base {base!r} takes no exponent (got {exponent})")
+    elif not math.isfinite(exponent):
+        raise ValueError(f"exponent {exponent} of {base} must be finite")
     elif exponent < _EXPONENT_MIN[base]:
         raise ValueError(f"exponent {exponent} out of range for {base} "
                          f"(needs q >= {_EXPONENT_MIN[base]:g})")
@@ -304,37 +310,69 @@ class OperatorSpec:
 
 @dataclass
 class Symbol:
-    """Evaluated symbol with classification metadata.
+    """A symbol given by its terms, with classification metadata.
 
-    evaluator(t, x_node, rep) returns the d x d matrix; x_node is a flat
-    node index into base_grid, or None for x-independent evaluation.  Terms
-    (when built from an OperatorSpec) keep the structural description used
-    by the fast application paths and the well-posedness tail analysis.
+    terms are OperatorTerm entries on group at working bandlimit two_L;
+    rho, delta and kappa are as in OperatorSpec.  Each term passes the base
+    vocabulary (_check_term) and must have a finite constant; a GridField
+    coefficient is Fourier-transformed at two_L.  All else is computed from
+    these six: order (the largest term order), x_independent and
+    t_independent (no term has a spatial factor, a time profile), base_grid
+    (the two_L quadrature grid, whose flat node indices are the x-nodes of
+    the scans and of evaluator), and the dense evaluator.
     """
 
-    evaluator: Callable
-    order: float
+    terms: list[OperatorTerm]
+    group: str
+    two_L: int
     rho: float = 1.0
     delta: float = 0.0
     kappa: int = 1
-    x_independent: bool = True
-    t_independent: bool = True
-    group: str = SU2
-    two_L: int = 0
-    terms: list[OperatorTerm] | None = None
-    base_grid: GridSpec | None = None
 
     def __post_init__(self):
-        self._space_samples: dict[tuple[int, str, int], np.ndarray] = {}
-        self._cache, self._cache_of = {}, None
+        if self.group not in (SU2, TORUS1):
+            raise ValueError(f"unknown group {self.group!r}")
+        terms = []
+        for k, term in enumerate(self.terms):
+            _check_term(term.base, None if term.exponent == 1.0 else term.exponent,
+                        self.group)
+            const = complex(term.const)
+            if not cmath.isfinite(const):
+                raise ValueError(f"constant {term.const} of term {k} "
+                                 f"({term.base}) must be finite")
+            space = term.space
+            if isinstance(space, GridField):
+                space = fourier_forward(space, min(space.grid.two_L, self.two_L))
+            if space is not None and (space.group != self.group
+                                      or space.two_L > self.two_L):
+                raise ValueError("coefficient field does not match the spec grid")
+            terms.append(OperatorTerm(term.base, term.exponent, const, space,
+                                      term.profile))
+        self.terms = terms
+        self.order = max((_ORDER[t.base] * t.exponent for t in terms), default=0.0)
+        self.x_independent = all(t.space is None for t in terms)
+        self.t_independent = all(t.profile is None for t in terms)
+        self.base_grid = quadrature_grid(self.group, self.two_L)
+        self._cache = {}
 
     def _cached(self, key, build):
-        """build() once per key while the evaluator stays the same."""
-        if self._cache_of is not self.evaluator:
-            self._cache, self._cache_of = {}, self.evaluator
+        """build() once per key."""
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
+
+    def evaluator(self, t: float, x_node: int | None, rep: RepIndex) -> np.ndarray:
+        """The dense d x d symbol at time t and representation rep; x_node is
+        a flat node index into base_grid, or None for an x-independent
+        symbol.  An instance may assign its own evaluator (a counting
+        wrapper, say), which matrix() then calls."""
+        coefs = [term.at(t) for term in self.terms]
+        for i, term in enumerate(self.terms):
+            if term.space is not None:
+                if x_node is None:
+                    raise ValueError("x-dependent symbol needs a node index")
+                coefs[i] = coefs[i] * self.space_samples(i, self.base_grid)[x_node]
+        return _densify(_assemble(self.terms, coefs, rep))
 
     def matrix(self, t: float, rep: RepIndex) -> np.ndarray:
         """The x-independent symbol at rep; a t-independent one is evaluated
@@ -346,63 +384,21 @@ class Symbol:
     def space_samples(self, term_index: int, grid: GridSpec) -> np.ndarray:
         """Samples of a term's spatial coefficient on the given grid, cached
         by what fixes the grid's nodes (a freed grid's id can be reused)."""
-        key = (term_index, grid.group, grid.two_L)
-        if key not in self._space_samples:
-            space = self.terms[term_index].space
-            self._space_samples[key] = fourier_inverse(space, grid).values
-        return self._space_samples[key]
+        space = self.terms[term_index].space
+        return self._cached(("space", term_index, grid.group, grid.two_L),
+                            lambda: fourier_inverse(space, grid).values)
 
 
 def build_operator_symbol(spec: OperatorSpec) -> Symbol:
-    """Compile an OperatorSpec into a Symbol.
-
-    Spatial coefficients given as GridFields are Fourier-transformed at the
-    spec bandlimit; every term must pass the base vocabulary (_check_term):
-    a known base, an exponent in its range (1.0 on a base without one), and
-    no SU(2)-only base on the circle.
-    """
-    if spec.group not in (SU2, TORUS1):
-        raise ValueError(f"unknown group {spec.group!r}")
-    grid = quadrature_grid(spec.group, spec.two_L)
-    terms: list[OperatorTerm] = []
-    for term in spec.terms:
-        _check_term(term.base, None if term.exponent == 1.0 else term.exponent,
-                    spec.group)
-        space = term.space
-        if isinstance(space, GridField):
-            space = fourier_forward(space, min(space.grid.two_L, spec.two_L))
-        if space is not None and (space.group != spec.group
-                                  or space.two_L > spec.two_L):
-            raise ValueError("coefficient field does not match the spec grid")
-        terms.append(OperatorTerm(term.base, term.exponent, complex(term.const),
-                                  space, term.profile))
-    x_indep = all(t.space is None for t in terms)
-    t_indep = all(t.profile is None for t in terms)
-    order = max((_ORDER[t.base] * t.exponent for t in terms), default=0.0)
-
-    sym = Symbol(evaluator=None, order=order, rho=spec.rho, delta=spec.delta,
-                 kappa=spec.kappa, x_independent=x_indep, t_independent=t_indep,
-                 group=spec.group, two_L=spec.two_L, terms=terms, base_grid=grid)
-
-    def evaluator(t, x_node, rep):
-        coefs = [term.at(t) for term in terms]
-        for i, term in enumerate(terms):
-            if term.space is not None:
-                if x_node is None:
-                    raise ValueError("x-dependent symbol needs a node index")
-                coefs[i] = coefs[i] * sym.space_samples(i, grid)[x_node]
-        return _densify(_assemble(terms, coefs, rep))
-
-    sym.evaluator = evaluator
-    return sym
+    """Compile an OperatorSpec into a Symbol (see Symbol for the checks)."""
+    return Symbol(spec.terms, spec.group, spec.two_L, spec.rho, spec.delta,
+                  spec.kappa)
 
 
 def _invariant_operand(sym: Symbol, t: float, F: SpectralField):
-    """The operand of sym at t over F's layout, built once if t-independent:
-    assembled from a structured symbol's terms, a bare evaluator's blocks."""
+    """The operand of sym at t over F's layout, assembled from its terms and
+    built once if t-independent."""
     def build():
-        if sym.terms is None:
-            return tuple(sym.matrix(t, rep) for rep in F.layout.reps)
         coefs = [term.at(t) for term in sym.terms]
         return _operand([_assemble(sym.terms, coefs, rep)
                          for rep in F.layout.reps], F.layout)
@@ -417,102 +413,64 @@ def invariant_apply(sym: Symbol, F: SpectralField, t: float = 0.0) -> SpectralFi
                                  F.layout)[0])
 
 
-def _grid_rep_matrices(grid: GridSpec, rep: RepIndex) -> np.ndarray:
-    """xi(x_n) for every node of the grid, shape (N, d, d)."""
-    if grid.group == TORUS1:
-        T = grid._plan(max(grid.two_L, abs(rep.k)))
-        return grid._ephi[:, rep.k + T][:, None, None]
-    T = grid._plan(max(grid.two_L, rep.two_ell))
-    tl = rep.two_ell
-    sel = np.arange(T - tl, T + tl + 1, 2)
-    dst = grid._dstacks[tl]                      # (B, d, d)
-    ephi = grid._ephi[:, sel]                    # (A, d): exp(-i r phi_a)
-    epsi = grid._epsi[:, sel]                    # (C, d): exp(-i c psi_c)
-    out = np.einsum("ar,brs,cs->abcrs", ephi, dst, epsi)
-    A, B, C = grid.n_phi, grid.n_theta, grid.n_psi
-    return out.reshape(A * B * C, tl + 1, tl + 1)
-
-
 def quantize_apply(sym: Symbol, t: float, f: GridField) -> GridField:
-    """Pointwise values of the quantized operator applied to f.
+    """Pointwise values of the quantized operator applied to f, on any grid.
 
-    The result keeps the full pointwise content (no re-projection); for a
-    symbol a(x) * Id this is exactly the product a(x) f(x) at the nodes.
-    Structured symbols work on any grid; a bare x-dependent evaluator is
-    applied on its own base grid through the quantization sum directly.
+    Each term's base acts per mode and its coefficient multiplies the
+    result at the nodes; the result keeps the full pointwise content (no
+    re-projection), so for a symbol a(x) * Id this is exactly the product
+    a(x) f(x) at the nodes.
     """
     F = fourier_forward(f)
     if sym.x_independent:
         return fourier_inverse(invariant_apply(sym, F, t), f.grid)
-    if sym.terms is not None:
-        out = np.zeros(f.grid.node_count, dtype=complex)
-        for i, term in enumerate(sym.terms):
-            c = term.at(t)
-            vals = fourier_inverse(_apply_base(term.base, term.exponent, F),
-                                   f.grid).values
-            if term.space is not None:
-                vals = vals * sym.space_samples(i, f.grid)
-            out += c * vals
-        return GridField(f.grid, out)
-    if f.grid is not sym.base_grid:
-        raise ValueError("grid mismatch: bare evaluator is tied to its base grid")
     out = np.zeros(f.grid.node_count, dtype=complex)
-    for rep, mat in F.items():
-        xi = _grid_rep_matrices(f.grid, rep)
-        for n in range(f.grid.node_count):
-            a = sym.evaluator(t, n, rep)
-            out[n] += rep.dim * np.trace(xi[n] @ a @ mat)
+    for i, term in enumerate(sym.terms):
+        c = term.at(t)
+        vals = fourier_inverse(_apply_base(term.base, term.exponent, F),
+                               f.grid).values
+        if term.space is not None:
+            vals = vals * sym.space_samples(i, f.grid)
+        out += c * vals
     return GridField(f.grid, out)
 
 
 def apply_spectral(sym: Symbol, t: float, F: SpectralField) -> SpectralField:
     """Bandlimited (Galerkin) action of the operator on spectral data.
 
-    x-independent symbols act per mode.  Structured x-dependent symbols
-    evaluate coefficient-state products on a grid resolving the combined
-    bandwidth and project back to F's bandlimit, which is alias-free.  Bare
-    x-dependent evaluators are sampled on their base grid; their content is
-    treated as limited to that grid's bandwidth.
+    x-independent symbols act per mode.  x-dependent ones evaluate each
+    coefficient-state product on a grid resolving the combined bandwidth
+    and project back to F's bandlimit, which is alias-free.
     """
     if sym.x_independent:
         return invariant_apply(sym, F, t)
-    if sym.terms is not None:
-        big = quadrature_grid(F.group, sym.two_L + F.two_L)
-        acc_grid = np.zeros(big.node_count, dtype=complex)
-        acc_spec = SpectralField.zeros(F.group, F.two_L)
-        for i, term in enumerate(sym.terms):
-            c = term.at(t)
-            base = _apply_base(term.base, term.exponent, F)
-            if term.space is None:
-                acc_spec = acc_spec + c * base
-            else:
-                vals = fourier_inverse(base, big).values
-                acc_grid += c * vals * sym.space_samples(i, big)
-        out = fourier_forward(GridField(big, acc_grid), F.two_L)
-        return acc_spec + out
-    grid = sym.base_grid
-    f = fourier_inverse(F, grid)
-    return fourier_forward(quantize_apply(sym, t, f), F.two_L)
+    big = quadrature_grid(F.group, sym.two_L + F.two_L)
+    acc_grid = np.zeros(big.node_count, dtype=complex)
+    acc_spec = SpectralField.zeros(F.group, F.two_L)
+    for i, term in enumerate(sym.terms):
+        c = term.at(t)
+        base = _apply_base(term.base, term.exponent, F)
+        if term.space is None:
+            acc_spec = acc_spec + c * base
+        else:
+            vals = fourier_inverse(base, big).values
+            acc_grid += c * vals * sym.space_samples(i, big)
+    out = fourier_forward(GridField(big, acc_grid), F.two_L)
+    return acc_spec + out
 
 
 def averaged_matrix(sym: Symbol, t: float, rep: RepIndex) -> np.ndarray:
     """Haar average over x of the symbol at one representation.
 
     For an x-independent symbol this is its block (Symbol.matrix, cached
-    when t-independent); otherwise it serves as a per-mode preconditioner
-    for implicit solves with spatially varying coefficients.
+    when t-independent); otherwise each spatial factor is replaced by its
+    mean, the trivial-representation coefficient.  It serves as a per-mode
+    preconditioner for implicit solves with spatially varying coefficients.
     """
     if sym.x_independent:
         return np.asarray(sym.matrix(t, rep))
-    if sym.terms is not None:
-        trivial = RepIndex(sym.group)     # k = 0 on the circle
-        coefs = [term.at(t) if term.space is None
-                 else term.at(t) * term.space.coeffs[trivial][0, 0]
-                 for term in sym.terms]
-        return _densify(_assemble(sym.terms, coefs, rep))
-    grid = sym.base_grid
-    w = grid.weights()
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for n in range(grid.node_count):
-        out += w[n] * sym.evaluator(t, n, rep)
-    return out
+    trivial = RepIndex(sym.group)     # k = 0 on the circle
+    coefs = [term.at(t) if term.space is None
+             else term.at(t) * term.space.coeffs[trivial][0, 0]
+             for term in sym.terms]
+    return _densify(_assemble(sym.terms, coefs, rep))

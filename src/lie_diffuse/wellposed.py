@@ -21,9 +21,9 @@ A failure witness is always conclusive.  The witness reported on failure is
 the first violating sample in scan order (lowest degree first), which names
 the lowest frequency where the inequality breaks.
 
-Each (representation, time) slice of a scan is evaluated at all sampled
-x-nodes in one batch; a structured symbol's slice stays (n_x, 3, d) bands
-(see the symbol module).  The smallest eigenvalues are read off the
+Each (representation, time) slice of a scan is assembled from the symbol's
+terms at all sampled x-nodes in one batch, as (n_x, 3, d) bands (see the
+symbol module).  The smallest eigenvalues are read off the
 diagonal where the off-diagonals vanish, else from one batched eigvalsh of
 the dense matrices.  Scan order (representation, then time, then x-node)
 and the witness rules are those of a sample-by-sample loop: the witness of
@@ -137,8 +137,6 @@ def _structural_tail(sym: Symbol):
     Returns ("conclusive-positive", None), ("extend", needed_two_L) or
     ("none", None).  See the module docstring for the covered families.
     """
-    if sym.terms is None:
-        return ("none", None)
     psd, drift = [], []
     for i, term in enumerate(sym.terms):
         if term.base in _SKEW_BASES and abs(term.const.imag) == 0:
@@ -189,12 +187,10 @@ def _structural_tail(sym: Symbol):
 
 
 def _herm_diagonal_everywhere(sym: Symbol) -> bool:
+    """Whether an x-independent symbol's Hermitian part is diagonal, probed
+    at two_ell = 2 (k = 1 on the circle) and t = 0."""
     probe = RepIndex(SU2, two_ell=2) if sym.group == SU2 else RepIndex(TORUS1, k=1)
-    try:
-        M = sym.evaluator(0.0, None if sym.x_independent else 0, probe)
-    except Exception:
-        return False
-    H = hermitian_part(M)
+    H = hermitian_part(sym.evaluator(0.0, None, probe))
     return not np.any(H - np.diag(np.diagonal(H)))
 
 
@@ -259,41 +255,31 @@ def _scan(sym: Symbol, times: list[float], nodes: list, scan_two_L: int,
     at each x-node (of W (-Herm sigma) W with W = diag(weight(rep)) when
     given).
 
-    A structured symbol's slice is assembled as bands with the evaluator's
+    The slice is assembled as (n_x, 3, d) bands with the evaluator's
     operation order; -Herm is -(0.5 (B + B^*)) band by band and the weight
     (w_r H_rc) w_c per entry, the operations of the dense -(M + M^*)/2 and
-    W H W, so every entry is bit-identical to the dense slice's.  Bare
-    evaluators are called once per node.  A slice with a NaN or infinite
-    entry raises ValueError naming its first such x-node: eigvalsh would
-    return NaN, which no tolerance test rejects, or fail with a bare LAPACK
-    error.
+    W H W, so every entry is bit-identical to the dense slice's.  A slice
+    with a NaN or infinite entry raises ValueError naming its first such
+    x-node: eigvalsh would return NaN, which no tolerance test rejects, or
+    fail with a bare LAPACK error.
     """
-    coefs = None if sym.terms is None else _term_coefficients(sym, times, nodes)
+    coefs = _term_coefficients(sym, times, nodes)
     for rep in dual_enumerate(sym.group, scan_two_L):
         w = None if weight is None else weight(rep)
         for k, t in enumerate(times):
-            if coefs is None:
-                H = -hermitian_part(np.stack([np.asarray(sym.evaluator(t, node, rep))
-                                              for node in nodes]))
-                if w is not None:
-                    H = (w[:, None] * H) * w
-                eye = np.eye(rep.dim, dtype=bool)
-                diag, off, dense = H[:, eye], np.where(eye, 0, H), lambda i: H[i]
-            else:
-                B = _assemble(sym.terms, coefs[k], rep).reshape(-1, 3, rep.dim)
-                H = -(0.5 * (B + _adjoint(B)))
-                if w is not None:
-                    H = (w * H) * np.stack([np.pad(w[:-1], (1, 0)), w,
-                                            np.pad(w[1:], (0, 1))])
-                diag, off, dense = H[:, 1], H[:, ::2], lambda i: _densify(H[i])
+            B = _assemble(sym.terms, coefs[k], rep).reshape(-1, 3, rep.dim)
+            H = -(0.5 * (B + _adjoint(B)))
+            if w is not None:
+                H = (w * H) * np.stack([np.pad(w[:-1], (1, 0)), w,
+                                        np.pad(w[1:], (0, 1))])
             if not np.isfinite(H).all():
                 i = int(np.argmin(np.isfinite(H).all(axis=(1, 2))))
                 raise ValueError(f"non-finite symbol at {rep}, t={t}, "
                                  f"x_node={nodes[i]}")
-            eigs = np.real(diag).min(axis=1)   # eigvalsh where off-bands show
-            rows = np.flatnonzero(off.reshape(len(off), -1).any(axis=1))
+            eigs = np.real(H[:, 1]).min(axis=1)   # eigvalsh where off-bands show
+            rows = np.flatnonzero(H[:, ::2].reshape(len(H), -1).any(axis=1))
             if rows.size:
-                eigs[rows] = np.linalg.eigvalsh(dense(rows)).min(axis=1)
+                eigs[rows] = np.linalg.eigvalsh(_densify(H[rows])).min(axis=1)
             yield rep, t, eigs
 
 

@@ -10,10 +10,12 @@ solve_reduced ran before both shared the evolve module's stepping core.
 BlockField and its norms, Bessel weights and invariant_apply are the
 dict-of-blocks field layout the package used before its packed buffer;
 invariant_apply_bands applies a tridiagonal symbol row by row, as the packed
-banded operand does.  The per-state energy diagnostics are the ones evolve()
-ran before it read each state once: Sobolev norms of the Bessel-weighted
-field, the identity's pairing spectral_inner(K v, v), and the estimate fitted
-on those norms.
+banded operand does.  quantization_sum and quadrature_average are the
+quantized operator and the Haar average straight from their definitions,
+one evaluator call per node of the symbol's base grid.  The per-state
+energy diagnostics are the ones evolve() ran before it read each state
+once: Sobolev norms of the Bessel-weighted field, the identity's pairing
+spectral_inner(K v, v), and the estimate fitted on those norms.
 """
 
 import math
@@ -29,6 +31,7 @@ from lie_diffuse.harmonic import (
     RepIndex,
     SpectralField,
     dual_enumerate,
+    fourier_forward,
     plancherel_norm,
     spectral_inner,
     wigner_matrix,
@@ -210,6 +213,40 @@ def strong_ellipticity_per_sample(sym, T=1.0, time_samples=17, scan_two_L=None,
     return wp.EllipticityReport(kind, best, best_w, scanned, tail="scan-limited",
                                 excluded_constant=best_ex, excluded_kind=ex_kind,
                                 min_weight=min_weight)
+
+
+# ---------------------------------------------------------------- quantization reference
+#
+# (A f)(x) = sum_xi d_xi Tr[xi(x) a(t, x, xi) fhat(xi)] and the Haar average
+# of a(t, x, xi), summed node by node over the symbol's base grid with the
+# dense evaluator, against which the term-by-term appliers are checked.
+
+def _rep_at_nodes(grid, rep):
+    """xi(x_n) at every node of the grid (flat order), shape (N, d, d)."""
+    if grid.group != SU2:
+        return np.exp(-1j * rep.k * grid.theta)[:, None, None]
+    nodes = np.meshgrid(grid.phi, grid.theta, grid.psi, indexing="ij")
+    return np.stack([wigner_matrix(rep, angles)
+                     for angles in zip(*(a.ravel() for a in nodes))])
+
+
+def quantization_sum(sym, t, f):
+    """Reference for quantize_apply on f given at sym's base-grid nodes."""
+    grid = sym.base_grid
+    assert f.grid is grid
+    out = np.zeros(grid.node_count, dtype=complex)
+    for rep, mat in fourier_forward(f).items():
+        xi = _rep_at_nodes(grid, rep)
+        for n in range(grid.node_count):
+            out[n] += rep.dim * np.trace(xi[n] @ sym.evaluator(t, n, rep) @ mat)
+    return GridField(grid, out)
+
+
+def quadrature_average(sym, t, rep):
+    """Reference for averaged_matrix: the base grid's quadrature of the
+    symbol over x."""
+    w = sym.base_grid.weights()
+    return sum(w[n] * sym.evaluator(t, n, rep) for n in range(len(w)))
 
 
 # ---------------------------------------------------------------- stepping reference

@@ -15,7 +15,7 @@ from lie_diffuse.harmonic import (
     quadrature_grid,
     random_field,
 )
-from lie_diffuse.symbol import (OperatorSpec, OperatorTerm, Symbol, apply_spectral,
+from lie_diffuse.symbol import (OperatorSpec, OperatorTerm, apply_spectral,
                                 build_operator_symbol)
 from lie_diffuse.evolve import (
     EvolutionProblem,
@@ -31,7 +31,7 @@ from lie_diffuse.evolve import (
 from lie_diffuse.wellposed import classify_problem
 import lie_diffuse.harmonic as harmonic_mod
 import lie_diffuse.symbol as symbol_mod
-from oracles import energy_identity_terms, energy_report_per_state, evolve_exact_loop
+from oracles import energy_report_per_state, evolve_exact_loop
 
 
 def op(terms, two_L=4):
@@ -342,19 +342,14 @@ def xdep_symbol(amp=0.4, two_L=2):
 
 
 def test_cn_xdep_solves_the_implicit_system():
-    """The structured x-dependent symbol and its bare twin (the evaluator
-    alone, preconditioned with averaged_matrix's quadrature average)."""
     sym = xdep_symbol()
-    bare = Symbol(sym.evaluator, sym.order, x_independent=False, group=SU2,
-                  two_L=sym.two_L, base_grid=sym.base_grid)
     u0 = random_field(SU2, 2, seed=21)
     dt = 0.05
-    for K in (sym, bare):
-        v = step_crank_nicolson(u0, K, None, 0.0, dt)
-        lhs = v - (0.5 * dt) * apply_spectral(K, 0.5 * dt, v)
-        rhs = u0 + (0.5 * dt) * apply_spectral(K, 0.5 * dt, u0)
-        err = math.sqrt(plancherel_norm(lhs - rhs))
-        assert err < 1e-11 * (1.0 + math.sqrt(plancherel_norm(rhs)))
+    v = step_crank_nicolson(u0, sym, None, 0.0, dt)
+    lhs = v - (0.5 * dt) * apply_spectral(sym, 0.5 * dt, v)
+    rhs = u0 + (0.5 * dt) * apply_spectral(sym, 0.5 * dt, u0)
+    err = math.sqrt(plancherel_norm(lhs - rhs))
+    assert err < 1e-11 * (1.0 + math.sqrt(plancherel_norm(rhs)))
 
 
 def test_cn_xdep_constant_coefficient_agrees_with_invariant():
@@ -528,23 +523,6 @@ def test_evolve_squares_each_state_once(monkeypatch):
     traj, _ = evolve(EvolutionProblem(sym, random_field(SU2, 4, seed=49), T=0.2,
                                       s=1.0), dt=0.05, classification=classify_problem(sym))
     assert sorted(passes) == [1, len(traj)]
-
-
-def test_bare_evaluator_pairing_evaluates_once_per_sample():
-    """A bare t-dependent evaluator is paired through K v, evaluated once per
-    sample and representation."""
-    calls = []
-
-    def evaluator(t, x, rep):
-        calls.append(rep)
-        return -(1.0 + t) * symbol_mod.laplace_symbol(rep)
-    sym = symbol_mod.Symbol(evaluator=evaluator, order=2.0, t_independent=False,
-                            two_L=4)
-    traj = [random_field(SU2, 4, seed=48 + i) for i in range(3)]
-    got = energy_identity_residual(traj, sym, None, 0.1)
-    assert len(calls) == 3 * 5
-    want = energy_identity_terms(traj, sym, None, 0.1)
-    assert all(abs(g - r) <= 1e-13 * scale for g, (r, scale) in zip(got, want))
 
 
 def _count_calls(monkeypatch, names):

@@ -18,7 +18,6 @@ from lie_diffuse.harmonic import (
 from lie_diffuse.symbol import (
     OperatorSpec,
     OperatorTerm,
-    Symbol,
     _invariant_operand,
     apply_spectral,
     build_operator_symbol,
@@ -194,20 +193,6 @@ def test_row_starts(group, two_L):
     want = [sl.start + r * d for sl, d in lay.slots.values() for r in range(d)]
     assert lay.row_starts.tolist() == want
     assert not lay.row_starts.flags.writeable
-
-
-@pytest.mark.parametrize("group,two_L", LAYOUTS)
-def test_bare_evaluator_matches_blocks(group, two_L):
-    rng = np.random.default_rng(6)
-    mats = {}
-
-    def evaluator(t, x, rep):
-        if rep not in mats:
-            mats[rep] = rng.standard_normal((rep.dim, rep.dim)) + 0j
-        return mats[rep]
-    sym = Symbol(evaluator=evaluator, order=0.0, group=group, two_L=two_L)
-    F = random_field(group, two_L, 7)
-    same_blocks(invariant_apply(sym, F), invariant_apply_blocks(sym, BlockField.of(F)))
 
 
 @pytest.mark.parametrize("group,two_L", LAYOUTS + [(SU2, 16), (TORUS1, 40)])

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -28,7 +31,7 @@ from lie_diffuse.symbol import (
     sublaplace_symbol,
     vector_field_symbol,
 )
-from oracles import lie_algebra_fd
+from oracles import lie_algebra_fd, quadrature_average, quantization_sum
 
 
 def su2(tl):
@@ -148,6 +151,42 @@ def test_build_rejects_su2_bases_on_torus():
         build_operator_symbol(OperatorSpec(TORUS1, 4, [OperatorTerm("iX3")]))
 
 
+@pytest.mark.parametrize("terms,match", [
+    ([OperatorTerm("laplace", exponent=math.nan, const=-1.0)],
+     "exponent nan of laplace must be finite"),
+    ([OperatorTerm("bessel", exponent=-math.inf, const=-1.0)],
+     "exponent -inf of bessel must be finite"),
+    ([OperatorTerm("sbessel", exponent=math.inf, const=-1.0)],
+     "exponent inf of sbessel must be finite"),
+    ([OperatorTerm("laplace", const=-1.0), OperatorTerm("iX3", const=math.nan)],
+     r"constant nan of term 1 \(iX3\) must be finite"),
+    ([OperatorTerm("id", const=complex(0.0, math.inf))],
+     r"constant infj of term 0 \(id\) must be finite"),
+], ids=["nan-exponent", "minus-inf-bessel", "inf-sbessel", "nan-const",
+        "inf-imaginary-const"])
+def test_build_rejects_non_finite_term(terms, match):
+    """NaN passes every "exponent < minimum" test and bessel's minimum is
+    -inf, so these once built a symbol of order NaN or +-inf."""
+    with pytest.raises(ValueError, match=match):
+        build_operator_symbol(OperatorSpec(SU2, 4, terms))
+
+
+def test_symbol_is_its_terms():
+    """Symbol takes the terms and the class data; the rest is computed."""
+    assert [f.name for f in dataclasses.fields(Symbol)] == [
+        "terms", "group", "two_L", "rho", "delta", "kappa"]
+    a = random_field(SU2, 2, 13)
+    sym = Symbol([OperatorTerm("laplace", 0.5, const=-1.0, space=a),
+                  OperatorTerm("iX3", const=0.5, profile=lambda t: 1.0 + t)],
+                 SU2, 2, kappa=2)
+    assert (sym.order, sym.x_independent, sym.t_independent) == (1.0, False, False)
+    assert sym.base_grid is quadrature_grid(SU2, 2) and sym.kappa == 2
+    want = build_operator_symbol(OperatorSpec(SU2, 2, sym.terms, kappa=2))
+    for n in (0, 7):
+        assert np.array_equal(sym.evaluator(0.3, n, su2(2)),
+                              want.evaluator(0.3, n, su2(2)))
+
+
 def test_symbol_metadata_flags():
     spec = OperatorSpec(SU2, 4, [
         OperatorTerm("laplace", 1.0, const=-1.0, profile=lambda t: 1.0 + t),
@@ -220,7 +259,8 @@ def test_coefficient_samples_follow_non_interned_grids():
 
 
 def test_apply_spectral_structured_matches_bare_evaluator():
-    # same operator through the structured path and the quantization sum
+    # same operator term by term and through the quantization sum of its
+    # dense evaluator, on the base grid
     coarse_L, spec_L = 2, 4
     g4 = quadrature_grid(SU2, spec_L)
     a_vals = fourier_inverse(random_field(SU2, coarse_L, 7), g4).values.real
@@ -229,38 +269,32 @@ def test_apply_spectral_structured_matches_bare_evaluator():
         OperatorTerm("iX3", const=0.5),
     ])
     sym = build_operator_symbol(spec)
-    bare = Symbol(evaluator=sym.evaluator, order=sym.order,
-                  x_independent=False, group=SU2, two_L=spec_L,
-                  terms=None, base_grid=g4)
     F = random_field(SU2, coarse_L, 8)
     got = apply_spectral(sym, 0.0, F)
-    ref = apply_spectral(bare, 0.0, F)
+    ref = fourier_forward(quantization_sum(sym, 0.0, fourier_inverse(F, g4)), coarse_L)
     worst = max(np.abs(got.coeffs[r] - ref.coeffs[r]).max() for r in got.coeffs)
     assert worst < 1e-10
 
 
 def test_torus_bare_evaluator_matches_structured():
-    # c(x) * laplace on the circle through the quantization sum and the
-    # structured path; the bare one needs the circle's characters on the grid
+    # c(x) * laplace on the circle term by term and through the quantization
+    # sum, which needs the circle's characters on the grid
     coarse_L, spec_L = 2, 4
     g = quadrature_grid(TORUS1, spec_L)
     c_vals = 1.5 + fourier_inverse(random_field(TORUS1, coarse_L, 9), g).values.real
     spec = OperatorSpec(TORUS1, spec_L, [
         OperatorTerm("laplace", 1.0, const=-1.0, space=GridField(g, c_vals.astype(complex)))])
     sym = build_operator_symbol(spec)
-    bare = Symbol(evaluator=sym.evaluator, order=sym.order,
-                  x_independent=False, group=TORUS1, two_L=spec_L,
-                  terms=None, base_grid=g)
     F = random_field(TORUS1, coarse_L, 10)
+    f = fourier_inverse(F, g)
+    want = quantization_sum(sym, 0.0, f)
     got = apply_spectral(sym, 0.0, F)
-    ref = apply_spectral(bare, 0.0, F)
+    ref = fourier_forward(want, coarse_L)
     scale = max(np.abs(m).max() for m in got.coeffs.values())
     assert max(np.abs(got.coeffs[r] - ref.coeffs[r]).max()
                for r in got.coeffs) < 1e-12 * scale
-    f = fourier_inverse(F, g)
     a = quantize_apply(sym, 0.0, f).values
-    b = quantize_apply(bare, 0.0, f).values
-    assert np.abs(a - b).max() < 1e-12 * np.abs(a).max()
+    assert np.abs(a - want.values).max() < 1e-12 * np.abs(a).max()
 
 
 def test_averaged_matrix():
@@ -272,6 +306,7 @@ def test_averaged_matrix():
     sym = build_operator_symbol(spec)
     got = averaged_matrix(sym, 0.0, su2(2))
     assert np.abs(got - (-mean) * laplace_symbol(su2(2))).max() < 1e-10
+    assert np.abs(got - quadrature_average(sym, 0.0, su2(2))).max() < 1e-12
 
 
 def test_torus_operator():

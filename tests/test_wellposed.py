@@ -11,13 +11,12 @@ from lie_diffuse.harmonic import (
     TORUS1,
     GridField,
     RepIndex,
-    dual_enumerate,
     fourier_forward,
     fourier_inverse,
     quadrature_grid,
     random_field,
 )
-from lie_diffuse.symbol import OperatorSpec, OperatorTerm, Symbol, build_operator_symbol
+from lie_diffuse.symbol import OperatorSpec, OperatorTerm, build_operator_symbol
 from lie_diffuse.wellposed import (
     classify_problem,
     garding_order_bound,
@@ -206,52 +205,40 @@ def test_circle_coefficient_range_reads_the_k0_block():
     assert report.kind == "positive" and report.tail == "conclusive"
 
 
-def test_positivity_bare_symbol_is_scan_limited():
-    sym = Symbol(evaluator=lambda t, x, rep: -np.eye(rep.dim, dtype=complex),
-                 order=0.0)
-    report = positivity_check(sym, scan_two_L=10)
-    assert report.kind == "positive"
-    assert report.tail == "scan-limited"
+# numpy warns as the bands overflow and as inf meets 0 in the products
+NON_FINITE_WARNING = "overflow|invalid value"
 
 
-def _nan_first(d):
-    return np.diag([np.nan] + [-1.0] * (d - 1)).astype(complex)
-
-
-def _nan_diagonal(d):
-    return np.diag(np.full(d, np.nan)).astype(complex)
-
-
-def _minus_inf_entry(d):
-    M = -np.eye(d, dtype=complex)
-    M[0, -1] = -np.inf
-    return M
-
-
-@pytest.mark.parametrize("entries", [_nan_first, _nan_diagonal, _minus_inf_entry])
-def test_non_finite_symbol_is_a_named_error(entries):
-    # eigvalsh may return NaN for such input (NaN < -tol is False, which would
-    # read as "positive") or fail inside LAPACK
-    def evaluator(t, x, rep):
-        return entries(rep.dim) if rep.two_ell == 3 else -np.eye(rep.dim, dtype=complex)
-    sym = Symbol(evaluator=evaluator, order=0.0)
-    match = r"non-finite symbol at .*two_ell=3.*t=0\.0, x_node=None"
-    with pytest.raises(ValueError, match=match):
-        positivity_check(sym, scan_two_L=6)
-    with pytest.raises(ValueError, match=match):
-        strong_ellipticity_constant(sym, scan_two_L=6)
-    with pytest.raises(ValueError, match=match):
-        classify_problem(sym, scan_two_L=6)
+def test_non_finite_symbol_is_a_named_error():
+    """-laplace^1000 overflows at two_ell = 3 (lam = 3.75).  eigvalsh may
+    return NaN for such input (NaN < -tol is False, which would read as
+    "positive") or fail inside LAPACK."""
+    sym = build_operator_symbol(OperatorSpec(SU2, 4, [
+        OperatorTerm("laplace", 1000.0, const=-1.0)]))
+    match = (r"non-finite symbol at RepIndex\(group='su2', two_ell=3, k=0\), "
+             r"t=0\.0, x_node=None")
+    for check in (positivity_check, strong_ellipticity_constant, classify_problem):
+        with pytest.warns(RuntimeWarning, match=NON_FINITE_WARNING), \
+                pytest.raises(ValueError, match=match):
+            check(sym, scan_two_L=6)
 
 
 def test_non_finite_symbol_names_the_x_node():
-    base = quadrature_grid(SU2, 2)
-
-    def evaluator(t, x, rep):
-        return _nan_first(rep.dim) if x == 7 else -np.eye(rep.dim, dtype=complex)
-    sym = Symbol(evaluator=evaluator, order=0.0, x_independent=False,
-                 group=SU2, two_L=2, base_grid=base)
-    with pytest.raises(ValueError, match=r"two_ell=0.*x_node=7"):
+    """c(x) * -laplace^q with lam^q = 2e307 at two_ell = 2 (lam = 2): the
+    product overflows where |c| > 8.98, and only there, since c(x) =
+    a - b cos(theta) takes the values -3.87, 3.87 and 11.62 on the grid
+    and twice 3.87 * 2e307 is still finite."""
+    g = quadrature_grid(SU2, 2)
+    _, theta, _ = np.meshgrid(g.phi, g.theta, g.psi, indexing="ij")
+    b = 10.0
+    c = GridField(g, (0.5 * math.sqrt(0.6) * b - b * np.cos(theta)).ravel() + 0j)
+    sym = build_operator_symbol(OperatorSpec(SU2, 2, [
+        OperatorTerm("laplace", math.log2(2e307), const=-1.0, space=c)]))
+    samples = sym.space_samples(0, sym.base_grid)
+    node = int(np.flatnonzero(np.abs(samples) > np.finfo(float).max / 2e307)[0])
+    assert node > 0     # the first node is finite, so the error names the node
+    with pytest.warns(RuntimeWarning, match=NON_FINITE_WARNING), \
+            pytest.raises(ValueError, match=rf"two_ell=2.*x_node={node}$"):
         positivity_check(sym)
 
 
@@ -385,13 +372,6 @@ def complex_space_symbol():
     return build_operator_symbol(OperatorSpec(SU2, 2, terms))
 
 
-def bare_symbol():
-    inner = dense_symbol(True)
-    return Symbol(evaluator=lambda t, x, rep: inner.evaluator(t, x, rep),
-                  order=inner.order, x_independent=False, t_independent=False,
-                  group=SU2, two_L=inner.two_L, base_grid=inner.base_grid)
-
-
 def torus_symbol():
     terms = [OperatorTerm("laplace", exponent=0.5, const=-1.0 + 0.25j,
                           space=real_coef(TORUS1, 8, 1.3),
@@ -438,7 +418,6 @@ SCAN_CASES = {
     "dense": (lambda: dense_symbol(False), "elliptic"),
     "dense-x-t": (lambda: dense_symbol(True), "elliptic"),
     "complex-space": (complex_space_symbol, "elliptic"),
-    "bare": (bare_symbol, "elliptic"),
     "torus1": (torus_symbol, "elliptic"),
     "subelliptic": (subelliptic_symbol, "subelliptic"),
 }
@@ -551,12 +530,3 @@ def test_structured_scan_makes_no_evaluator_calls():
     positivity_check(sym)
     strong_ellipticity_constant(sym)
     assert len(calls) == 0
-
-
-def test_bare_scan_calls_evaluator_once_per_sample():
-    sym = bare_symbol()
-    calls = count_evaluator_calls(sym)
-    report = positivity_check(sym)
-    s = report.scanned
-    reps = len(dual_enumerate(SU2, s["scan_two_L"]))
-    assert len(calls) == reps * s["time_samples"] * s["x_samples"]
