@@ -209,12 +209,32 @@ def test_circle_coefficient_range_reads_the_k0_block():
 NON_FINITE_WARNING = "overflow|invalid value"
 
 
-def test_non_finite_symbol_is_a_named_error():
-    """-laplace^1000 overflows at two_ell = 3 (lam = 3.75).  eigvalsh may
-    return NaN for such input (NaN < -tol is False, which would read as
-    "positive") or fail inside LAPACK."""
-    sym = build_operator_symbol(OperatorSpec(SU2, 4, [
-        OperatorTerm("laplace", 1000.0, const=-1.0)]))
+# Each case first overflows at two_ell = 3, where lam = 3.75 and the
+# sub-Laplacian's slots are lam - j^2 = 1.5 (j = +-3/2) and 3.5 (j = +-1/2).
+def _nan_first():
+    """diag(-1, NaN, NaN, -1): sublaplace^600 overflows in the inner slots
+    only (3.5^600; 1.5^600 ~ 1e105), where inf - inf is NaN."""
+    return [OperatorTerm("sublaplace", 600.0),
+            OperatorTerm("sublaplace", 600.0, const=-1.0),
+            OperatorTerm("id", const=-1.0)]
+
+
+def _nan_diagonal():
+    """NaN on the whole diagonal: laplace^1000 - laplace^1000 is inf - inf."""
+    return [OperatorTerm("laplace", 1000.0),
+            OperatorTerm("laplace", 1000.0, const=-1.0)]
+
+
+def _minus_inf_entry():
+    """-inf on the whole diagonal: -laplace^1000."""
+    return [OperatorTerm("laplace", 1000.0, const=-1.0)]
+
+
+@pytest.mark.parametrize("terms", [_nan_first, _nan_diagonal, _minus_inf_entry])
+def test_non_finite_symbol_is_a_named_error(terms):
+    """eigvalsh may return NaN for such input (NaN < -tol is False, which
+    would read as "positive") or fail inside LAPACK."""
+    sym = build_operator_symbol(OperatorSpec(SU2, 4, terms()))
     match = (r"non-finite symbol at RepIndex\(group='su2', two_ell=3, k=0\), "
              r"t=0\.0, x_node=None")
     for check in (positivity_check, strong_ellipticity_constant, classify_problem):
