@@ -312,11 +312,13 @@ def _build_symbol(cfg: RunConfig, expr: str | None):
 
 
 def _classify(sym, cfg: RunConfig):
-    """classify_problem; a symbol that overflows to inf is a config error."""
+    """classify_problem; a symbol that overflows to inf is a config error,
+    reported once, without numpy's warnings on the way to it."""
     try:
-        return classify_problem(sym, T=cfg.T, weight_kind=cfg.weight_kind,
-                                time_samples=cfg.time_samples,
-                                scan_two_L=cfg.scan_two_L)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return classify_problem(sym, T=cfg.T, weight_kind=cfg.weight_kind,
+                                    time_samples=cfg.time_samples,
+                                    scan_two_L=cfg.scan_two_L)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

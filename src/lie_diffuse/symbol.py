@@ -67,12 +67,9 @@ from .harmonic import (
     quadrature_grid,
 )
 
-# The base vocabulary.  Classes: positive semidefinite diagonal bases, drift
-# (Hermitian first order), skew-adjoint fields and the ladder pair d+, d-.
-_PSD_BASES = ("laplace", "sublaplace", "bessel", "sbessel", "id")
-_DRIFT_BASES = ("iX3", "d0")
-_SKEW_BASES = ("X1", "X2", "X3")
-VECTOR_FIELDS = _DRIFT_BASES + _SKEW_BASES + ("d+", "d-")
+# The base vocabulary: positive semidefinite diagonal bases (laplace,
+# sublaplace, bessel, sbessel, id) and the first-order vector fields.
+VECTOR_FIELDS = ("iX3", "d0", "X1", "X2", "X3", "d+", "d-")
 _SU2_ONLY = VECTOR_FIELDS + ("sublaplace", "sbessel")
 # The bases that take an exponent, with its least value; the others take
 # none, which OperatorTerm writes as exponent 1.0.

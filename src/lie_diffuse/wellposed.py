@@ -1,7 +1,7 @@
 """Well-posedness checks: positivity, strong ellipticity, order bounds.
 
 For an evolution dv/dt = K(t) v + f the checks inspect the symbol of K over
-a sampled scan of (t, x, representation):
+a scan of (t, x, representation):
 
 * positivity_check asks for sigma_{-Re K} >= 0 (via the Hermitian part);
 * strong_ellipticity_constant asks for the stronger lower bound
@@ -13,39 +13,59 @@ a sampled scan of (t, x, representation):
 * classify_problem combines them into CaseI (strongly elliptic), CaseII
   (positive within the order window) or Unverified.
 
-Scans are finite, so a "positive" verdict is labelled "conclusive" only
-when a structural tail argument covers all higher frequencies (constant
-coefficient diffusion + iX3 drift families, or everything a nonpositive
-multiple of a positive semidefinite base); otherwise it is "scan-limited".
+A scan runs level by level (two_ell on SU(2), |k| on the circle), and one
+rule covers the frequencies it does not reach: _tail_bound, a certified
+lower bound on the smallest eigenvalue of W^{-m/2} (-Herm sigma) W^{-m/2}
+at every level from n on, from the symbol's terms alone (Gershgorin row
+sums of the tridiagonal bands, closed-form entry bounds against the
+weight, spatial coefficients as intervals, equal leading orders compared
+by coefficient).  For an x-dependent symbol it bounds every level, since
+x-nodes sample a coefficient only; a time profile admits no bound.  With
+that bound b past the scan:
+
+* a tail is "conclusive" when b >= 0 (positivity) or b > TOL (strong
+  ellipticity), or when a failure witness exists, else "scan-limited";
+* a conclusive strong-ellipticity C is min(scanned minimum, b), which holds
+  at every frequency (likewise the low-frequency-excluded C);
+* without a given scan_two_L a scan stops at the first level past which b
+  is at least every running minimum the report prints, so the constants,
+  witnesses and verdicts are those of a full-depth scan.  Otherwise it runs
+  to the default depth, SCAN_TWO_L or 2 two_L for an x-dependent symbol,
+  and past it, up to MAX_SCAN_TWO_L, only while the tail is open and the
+  bound exact (x- and t-independent, diagonal Hermitian part, where each
+  level's scan is cheap and exact).  A given scan_two_L is scanned exactly.
+
 A failure witness is always conclusive.  The witness reported on failure is
-the first violating sample in scan order (lowest degree first), which names
+the first violating sample in scan order (lowest level first), which names
 the lowest frequency where the inequality breaks.
 
 Each (representation, time) slice of a scan is assembled from the symbol's
 terms at all sampled x-nodes in one batch, as (n_x, 3, d) bands (see the
 symbol module).  The smallest eigenvalues are read off the
 diagonal where the off-diagonals vanish, else from one batched eigvalsh of
-the dense matrices.  Scan order (representation, then time, then x-node)
-and the witness rules are those of a sample-by-sample loop: the witness of
-the minimum is its first occurrence, the failure witness the first sample
-below -TOL.
+the dense matrices.  Scan order (level, then time, then x-node) and the
+witness rules are those of a sample-by-sample loop: the witness of the
+minimum is its first occurrence, the failure witness the first sample below
+-TOL.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .harmonic import SU2, TORUS1, RepIndex, dual_enumerate
-from .symbol import (_DRIFT_BASES, _PSD_BASES, _SKEW_BASES, Symbol, _adjoint,
-                     _assemble, _bands, _densify, _weight_base)
+from .harmonic import SU2, TORUS1, RepIndex
+from .symbol import (VECTOR_FIELDS, Symbol, _adjoint, _assemble, _bands,
+                     _densify, _weight_base)
 
 TOL = 1e-10                   # an eigenvalue below -TOL fails a scan
 MAX_X_SAMPLES = 160           # x-nodes scanned, at most (every stride-th)
 MIN_WEIGHT = math.sqrt(2.0)   # the excluded rerun keeps <xi> >= MIN_WEIGHT
+SCAN_TWO_L = 100              # default depth of an x-independent scan
+MAX_SCAN_TWO_L = 1000         # cap of a scan past its default depth
 
 
 def hermitian_part(M: np.ndarray) -> np.ndarray:
@@ -105,9 +125,10 @@ class EllipticityReport:
 
 
 def _coef_range(term, sym, i):
-    """Interval bound for const * space(x) over the whole group; None for a
-    complex constant or coefficient, and for a time profile, an opaque
-    callable that cannot be bounded between its samples.
+    """Interval of a term's real spatial factor space(x) over the whole
+    group, (1, 1) without one; None for a complex-valued factor and for a
+    time profile, an opaque callable that cannot be bounded between its
+    samples.
 
     space(x) = sum_xi d_xi Tr[xi(x) c_hat(xi)] with every xi(x) unitary, so
     |space(x) - c_hat(1)| <= sum_{xi != 1} d_xi ||c_hat(xi)||_* (nuclear
@@ -115,83 +136,102 @@ def _coef_range(term, sym, i):
     Symmetries, 2010).  The base-grid samples would miss a dip between the
     nodes.
     """
-    if abs(term.const.imag) > 0 or term.profile is not None:
-        return None  # no structural reasoning
-    lo = hi = term.const.real
-    if term.space is not None:
-        s = sym.space_samples(i, sym.base_grid)
-        if np.abs(s.imag).max() > 1e-10 * (1.0 + np.abs(s.real).max()):
-            return None
-        trivial = RepIndex(sym.group)     # k = 0 on the circle
-        mean = float(term.space[trivial][0, 0].real)
-        radius = sum(rep.dim * float(np.linalg.svd(c, compute_uv=False).sum())
-                     for rep, c in term.space.items() if rep != trivial)
-        cands = [lo * (mean - radius), lo * (mean + radius)]
-        lo, hi = min(cands), max(cands)
-    return lo, hi
+    if term.profile is not None:
+        return None
+    if term.space is None:
+        return 1.0, 1.0
+    s = sym.space_samples(i, sym.base_grid)
+    if np.abs(s.imag).max() > 1e-10 * (1.0 + np.abs(s.real).max()):
+        return None
+    trivial = RepIndex(sym.group)     # k = 0 on the circle
+    mean = float(term.space[trivial][0, 0].real)
+    radius = sum(rep.dim * float(np.linalg.svd(c, compute_uv=False).sum())
+                 for rep, c in term.space.items() if rep != trivial)
+    return mean - radius, mean + radius
 
 
-def _structural_tail(sym: Symbol):
-    """Tail analysis for structured symbols.
+def _diag_units(base: str, e: float, kind: str):
+    """(lower, upper) units bounding the entries of a diagonal base (bessel
+    with e = 0 for id) against the weight of kind, None for the bound 0.
 
-    Returns ("conclusive-positive", None), ("extend", needed_two_L) or
-    ("none", None).  See the module docstring for the covered families.
+    A base's own spectrum (lam for laplace and bessel, mu for sublaplace
+    and sbessel) is the weight's when the kinds match: lam^q = (W^2-1)^q,
+    (1+lam)^{s/2} = W^s.  Otherwise mu lies in [0, lam] (elliptic W) and
+    lam in [mu, mu (mu + 1)] (subelliptic W), and the base is monotone in
+    its spectrum."""
+    bessel = base in ("bessel", "sbessel")
+    near = (0.0, e) if bessel else (e, 0.0)
+    if (base in ("laplace", "bessel")) == (kind == "elliptic"):
+        return near, near
+    if kind == "elliptic":
+        ends = ((0.0, 0.0) if bessel or e == 0 else None, near)
+    else:
+        ends = (near, (0.0, 2.0 * e) if bessel else (e, 2.0 * e))
+    return ends[::-1] if bessel and e < 0 else ends
+
+
+def _tail_bound(sym: Symbol, kind: str):
+    """(bound, exact): bound(n) is a certified lower bound on the smallest
+    eigenvalue of W^{-m/2} (-Herm sigma) W^{-m/2} at every scan level >= n,
+    all x and t, with W the weight of kind and m the symbol order; exact
+    says sigma is x- and t-independent with a diagonal Hermitian part.
+
+    Gershgorin's theorem on D^2 (-Herm sigma), similar to the weighted
+    matrix (D = W^{-m/2}), bounds it below by the smallest row value
+    W_r^{-m} (H_rr - |H_r,r-1| - |H_r,r+1|).  A term of real factor s in
+    [lo, hi] (_coef_range) adds s times the Hermitian part of its constant
+    times its base, so each row gains at least c u(W_r), c a coefficient
+    and u a unit (W^2 - 1)^a W^b (_diag_units; |j| <= ell <= lam^{1/2} and
+    |j| <= mu; the ladder row sums c_{r-1} + c_r <= 2 mu^{1/2} by
+    concavity).  Terms of one unit add their coefficients first, so equal
+    leading orders compare by coefficient.  With x = W^-2 in (0, x_n], unit
+    over W^m is (1 - x)^a x^e, e = (m - 2a - b)/2; a positive leading unit
+    (e = 0) is replaced by the line below (1 - x)^a that meets it at x_n,
+    and the bound is the sum over powers x^e of each one's infimum.
     """
-    psd, drift = [], []
+    m = sym.order
+    kind = kind if sym.group == SU2 else "elliptic"   # one spectrum, k^2
+    units, exact = {}, sym.x_independent and sym.t_independent
+    fields = {}    # per spatial factor: (max |s|, -Herm at two_ell = 1)
     for i, term in enumerate(sym.terms):
-        if term.base in _SKEW_BASES and abs(term.const.imag) == 0:
-            continue  # skew-adjoint: no Hermitian part
-        if term.base in _PSD_BASES:
-            psd.append((i, term))
-        elif term.base in _DRIFT_BASES:
-            drift.append((i, term))
+        rng = _coef_range(term, sym, i)
+        if rng is None:
+            return (lambda n: -math.inf), False
+        if term.base in VECTOR_FIELDS:    # j = +-1/2 and c_0 = 1 at two_ell = 1
+            B = term.const * _bands(RepIndex(SU2, two_ell=1), term.base, 1.0)
+            s, H = fields.get(id(term.space), (max(map(abs, rng)), 0.0))
+            fields[id(term.space)] = s, H - 0.5 * (B + _adjoint(B))
         else:
-            return ("none", None)
-    if not drift:
-        for i, term in psd:
-            rng = _coef_range(term, sym, i)
-            if rng is None or rng[1] > 0.0:
-                return ("none", None)
-        return ("conclusive-positive", None)
-    # drift present: closed forms for constant-coefficient a*laplace^q + a3*iX3
-    if not (sym.x_independent and sym.t_independent):
-        return ("none", None)
-    if len(psd) != 1 or psd[0][1].base != "laplace":
-        return ("none", None)
-    a = psd[0][1].const
-    if abs(a.imag) > 0:
-        return ("none", None)
-    a = a.real
-    a3 = 0.0
-    for _, term in drift:
-        if abs(term.const.imag) > 0:
-            return ("none", None)
-        a3 += term.const.real
-    m = 2.0 * psd[0][1].exponent
-    A = -a
-    if a3 == 0.0:
-        return ("conclusive-positive", None) if A >= 0.0 else ("extend", 2)
-    if A <= 0.0:
-        return ("extend", 2)  # no diffusion to balance the drift
-    c = abs(a3) / A
-    if m == 1.0:
-        if c <= 1.0:
-            return ("conclusive-positive", None)
-        ell_star = 1.0 / (c * c - 1.0)
-        return ("extend", int(math.ceil(2.0 * ell_star)) + 2)
-    if m < 1.0:
-        ell_star = max(1.0, (A * 2.0 ** (m / 2.0) / abs(a3)) ** (1.0 / (1.0 - m)))
-        return ("extend", int(math.ceil(2.0 * ell_star)) + 2)
-    ell_dom = c ** (1.0 / (m - 1.0))
-    return ("extend", int(math.ceil(2.0 * ell_dom)) + 2)
+            base, e = ("bessel", 0.0) if term.base == "id" \
+                else (term.base, term.exponent)
+            c = min(r * -term.const.real for r in rng)
+            unit = _diag_units(base, e, kind)[c < 0]
+            if unit is not None:
+                units[unit] = units.get(unit, 0.0) + c
+    jz = (0.5, 0.0) if kind == "elliptic" else (1.0, 0.0)
+    for s, H in fields.values():   # one factor's fields add before |.|
+        for unit, c in ((jz, 2.0 * abs(H[1, 1])), ((0.5, 0.0), 2.0 * abs(H[2, 0]))):
+            if c:
+                units[unit] = units.get(unit, 0.0) - s * float(c)
+        exact = exact and H[2, 0] == 0
 
-
-def _herm_diagonal_everywhere(sym: Symbol) -> bool:
-    """Whether an x-independent symbol's Hermitian part is diagonal, probed
-    at two_ell = 2 (k = 1 on the circle) and t = 0."""
-    probe = RepIndex(SU2, two_ell=2) if sym.group == SU2 else RepIndex(TORUS1, k=1)
-    H = hermitian_part(sym.evaluator(0.0, None, probe))
-    return not np.any(H - np.diag(np.diagonal(H)))
+    def bound(n: int) -> float:
+        n = n if sym.x_independent else 0   # x-nodes do not bound a level
+        lam = n / 2 * (n / 2 + 1) if sym.group == SU2 else n * n
+        x = 1.0 / (1.0 + (lam if kind == "elliptic" else n / 2))
+        powers = {}
+        for (a, b), c in units.items():
+            e = (m - 2.0 * a - b) / 2.0
+            if c > 0 and e == 0 and a > 0:   # chord (a < 1) or tangent at x
+                y = (1.0 - x) ** a
+                slope = a * (1.0 - x) ** (a - 1.0) if a > 1 else (1.0 - y) / x
+                powers[1.0] = powers.get(1.0, 0.0) - c * slope
+                c *= y + slope * x
+            powers[e] = powers.get(e, 0.0) + c
+        if any(d < 0 and e < 0 for e, d in powers.items()):
+            return -math.inf
+        return sum(d * x ** e for e, d in powers.items() if d < 0 or d > 0 and e == 0)
+    return bound, exact
 
 
 def _scan_grid(sym: Symbol, T: float, time_samples: int, scan_two_L: int | None):
@@ -199,10 +239,12 @@ def _scan_grid(sym: Symbol, T: float, time_samples: int, scan_two_L: int | None)
 
     Times are Chebyshev-Lobatto points on [0, T] (endpoints included), the
     x-nodes every stride-th base-grid node (at most MAX_X_SAMPLES), and the
-    default depth is two_ell <= 2 two_L for x-dependent symbols, else 100
-    for diagonal Hermitian parts and 40 otherwise.  A negative depth or
-    fewer than one time sample would scan nothing and report the vacuous
-    minimum +inf, so both raise ValueError.
+    depth is the given scan_two_L, which is scanned exactly, else the
+    default: level 2 two_L for an x-dependent symbol and SCAN_TWO_L
+    otherwise, which _scan may stop short of once the tail bound settles
+    the scan, or pass, up to MAX_SCAN_TWO_L, while an exact bound leaves the
+    tail open.  A negative depth or fewer than one time sample would scan
+    nothing and report the vacuous minimum +inf, so both raise ValueError.
     """
     if scan_two_L is not None and scan_two_L < 0:
         raise ValueError(f"scan_two_L must be >= 0, got {scan_two_L}")
@@ -220,10 +262,7 @@ def _scan_grid(sym: Symbol, T: float, time_samples: int, scan_two_L: int | None)
         n = sym.base_grid.node_count
         nodes = list(range(0, n, max(1, -(-n // MAX_X_SAMPLES))))
     if scan_two_L is None:
-        if not sym.x_independent:
-            scan_two_L = 2 * sym.two_L
-        else:
-            scan_two_L = 100 if _herm_diagonal_everywhere(sym) else 40
+        scan_two_L = SCAN_TWO_L if sym.x_independent else 2 * sym.two_L
     return times, nodes, scan_two_L
 
 
@@ -248,14 +287,23 @@ def _term_coefficients(sym: Symbol, times: list[float], nodes: list) -> list:
     return rows
 
 
-def _scan(sym: Symbol, times: list[float], nodes: list, scan_two_L: int,
-          weight: Callable[[RepIndex], np.ndarray] | None = None):
-    """Yield (rep, t, eigs) for every (representation, time) slice in scan
-    order, eigs holding the smallest eigenvalue of -Herm(sigma(t, x, rep))
-    at each x-node (of W (-Herm sigma) W with W = diag(weight(rep)) when
-    given).
+def _scan(sym: Symbol, T: float, time_samples: int, scan_two_L: int | None,
+          kind: str, visit, settle, weight=None):
+    """Scan (t, x, xi) level by level (two_ell, or |k| with -k first), then
+    time, then x-node; return the scanned dict of the report and the tail
+    bound of kind (_tail_bound) past the last level.
 
-    The slice is assembled as (n_x, 3, d) bands with the evaluator's
+    visit(rep, t, nodes, eigs) sees every (representation, time) slice, eigs
+    holding the smallest eigenvalue of -Herm(sigma(t, x, rep)) at each
+    x-node (of W (-Herm sigma) W with W = diag(weight(rep)) when given).
+    After level n, settle(b) reads the caller's running minima against the
+    bound b past it: (settled, conclusive), the bound being at least every
+    minimum the report prints, and the tail conclusive.  A given scan_two_L
+    is scanned exactly.  Otherwise the scan ends once settled, else at the
+    default depth (_scan_grid) if the tail is conclusive or the bound not
+    exact, else at the first conclusive level or MAX_SCAN_TWO_L.
+
+    A slice is assembled as (n_x, 3, d) bands with the evaluator's
     operation order; -Herm is -(0.5 (B + B^*)) band by band and the weight
     (w_r H_rc) w_c per entry, the operations of the dense -(M + M^*)/2 and
     W H W, so every entry is bit-identical to the dense slice's.  A slice
@@ -263,24 +311,34 @@ def _scan(sym: Symbol, times: list[float], nodes: list, scan_two_L: int,
     x-node: eigvalsh would return NaN, which no tolerance test rejects, or
     fail with a bare LAPACK error.
     """
+    times, nodes, depth = _scan_grid(sym, T, time_samples, scan_two_L)
     coefs = _term_coefficients(sym, times, nodes)
-    for rep in dual_enumerate(sym.group, scan_two_L):
-        w = None if weight is None else weight(rep)
-        for k, t in enumerate(times):
-            B = _assemble(sym.terms, coefs[k], rep).reshape(-1, 3, rep.dim)
-            H = -(0.5 * (B + _adjoint(B)))
-            if w is not None:
-                H = (w * H) * np.stack([np.pad(w[:-1], (1, 0)), w,
-                                        np.pad(w[1:], (0, 1))])
-            if not np.isfinite(H).all():
-                i = int(np.argmin(np.isfinite(H).all(axis=(1, 2))))
-                raise ValueError(f"non-finite symbol at {rep}, t={t}, "
-                                 f"x_node={nodes[i]}")
-            eigs = np.real(H[:, 1]).min(axis=1)   # eigvalsh where off-bands show
-            rows = np.flatnonzero(H[:, ::2].reshape(len(H), -1).any(axis=1))
-            if rows.size:
-                eigs[rows] = np.linalg.eigvalsh(_densify(H[rows])).min(axis=1)
-            yield rep, t, eigs
+    bound, exact = _tail_bound(sym, kind)
+    for n in itertools.count():
+        for rep in ([RepIndex(SU2, two_ell=n)] if sym.group == SU2
+                    else [RepIndex(TORUS1, k=k) for k in sorted({-n, n})]):
+            w = None if weight is None else weight(rep)
+            for k, t in enumerate(times):
+                B = _assemble(sym.terms, coefs[k], rep).reshape(-1, 3, rep.dim)
+                H = -(0.5 * (B + _adjoint(B)))
+                if w is not None:
+                    H = (w * H) * np.stack([np.pad(w[:-1], (1, 0)), w,
+                                            np.pad(w[1:], (0, 1))])
+                if not np.isfinite(H).all():
+                    i = int(np.argmin(np.isfinite(H).all(axis=(1, 2))))
+                    raise ValueError(f"non-finite symbol at {rep}, t={t}, "
+                                     f"x_node={nodes[i]}")
+                eigs = np.real(H[:, 1]).min(axis=1)   # eigvalsh where off-bands show
+                rows = np.flatnonzero(H[:, ::2].reshape(len(H), -1).any(axis=1))
+                if rows.size:
+                    eigs[rows] = np.linalg.eigvalsh(_densify(H[rows])).min(axis=1)
+                visit(rep, t, nodes, eigs)
+        b = bound(n + 1)
+        settled, conclusive = settle(b)
+        if n >= depth if scan_two_L is not None else (
+                settled or n >= depth and (conclusive or not exact or n >= MAX_SCAN_TWO_L)):
+            return {"scan_two_L": n, "time_samples": len(times),
+                    "x_samples": len(nodes)}, b
 
 
 def positivity_check(sym: Symbol, T: float = 1.0, time_samples: int = 17,
@@ -289,72 +347,70 @@ def positivity_check(sym: Symbol, T: float = 1.0, time_samples: int = 17,
 
     The verdict is "positive" when the smallest Hermitian-part eigenvalue of
     -sigma stays above -TOL, otherwise "failed" with the first violating
-    sample as witness.  The scan depth defaults to two_ell <= 100 for
-    diagonal Hermitian parts (40 otherwise) and is extended automatically
-    when the structural tail analysis asks for more.
+    sample as witness.  The tail is "conclusive" on a failure or when the
+    elliptic tail bound past the scan is >= 0, else "scan-limited".  The
+    scan settles once that bound is >= 0 >= the scanned minimum (_scan).
     """
-    times, nodes, scan_two_L = _scan_grid(sym, T, time_samples, scan_two_L)
-    tail_kind, needed = _structural_tail(sym)
-    if tail_kind == "extend":
-        scan_two_L = max(scan_two_L, needed)
+    best, best_w, first_fail = math.inf, None, None
 
-    best = math.inf
-    best_w = None
-    first_fail = None
-    for rep, t, eigs in _scan(sym, times, nodes, scan_two_L):
+    def visit(rep, t, nodes, eigs):
+        nonlocal best, best_w, first_fail
         i = int(np.argmin(eigs))
         if eigs[i] < best:
             best = float(eigs[i])
             best_w = Witness(t, nodes[i], rep, best)
-        if first_fail is None:
-            bad = np.flatnonzero(eigs < -TOL)
-            if bad.size:
-                i = int(bad[0])
-                first_fail = Witness(t, nodes[i], rep, float(eigs[i]))
-    scanned = {"scan_two_L": scan_two_L, "time_samples": len(times),
-               "x_samples": len(nodes)}
+        bad = np.flatnonzero(eigs < -TOL)
+        if first_fail is None and bad.size:
+            first_fail = Witness(t, nodes[bad[0]], rep, float(eigs[bad[0]]))
+
+    scanned, b = _scan(sym, T, time_samples, scan_two_L, "elliptic", visit,
+                       lambda b: (b >= 0 >= best, first_fail is not None or b >= 0))
     if first_fail is not None:
         return EllipticityReport("failed", best, first_fail, scanned,
                                  tail="conclusive")
-    if tail_kind == "conclusive-positive" or tail_kind == "extend":
-        tail = "conclusive"
-    else:
-        tail = "scan-limited"
-    return EllipticityReport("positive", best, best_w, scanned, tail=tail)
+    return EllipticityReport("positive", best, best_w, scanned,
+                             tail="conclusive" if b >= 0 else "scan-limited")
 
 
 def strong_ellipticity_constant(sym: Symbol, T: float = 1.0,
                                 time_samples: int = 17,
                                 scan_two_L: int | None = None,
                                 weight_kind: str = "elliptic") -> EllipticityReport:
-    """Largest C with Re(-sigma_K) >= C * W(xi)^m over the scan.
+    """Largest C with Re(-sigma_K) >= C * W(xi)^m over every frequency.
 
     W is the elliptic weight (1 + lambda)^{1/2} or its subelliptic diagonal
     analogue, raised to the symbol order m.  The strict verdict scans every
     representation; a rerun excluding low frequencies (<xi> < MIN_WEIGHT) is
     reported alongside, since the strict bound degenerates whenever the
-    symbol vanishes on the trivial representation.
+    symbol vanishes on the trivial representation.  When the tail bound of
+    this weight past the scan exceeds TOL the tail is "conclusive" and both
+    constants are min(scanned, bound), which hold at every frequency; a
+    strict constant <= TOL is a conclusive failure; otherwise the scanned
+    minima are reported on a "scan-limited" tail.  The scan settles once
+    the bound is at least both running minima (_scan).
     """
-    times, nodes, scan_two_L = _scan_grid(sym, T, time_samples, scan_two_L)
     m, base = sym.order, _weight_base(weight_kind)
-    best = math.inf
-    best_w = None
-    best_ex = math.inf
-    for rep, t, eigs in _scan(sym, times, nodes, scan_two_L,
-                              lambda rep: _bands(rep, base, -m / 2.0)[1]):
+    best, best_w, best_ex = math.inf, None, math.inf
+
+    def visit(rep, t, nodes, eigs):
+        nonlocal best, best_w, best_ex
         i = int(np.argmin(eigs))
         if eigs[i] < best:
             best = float(eigs[i])
             best_w = Witness(t, nodes[i], rep, best)
         # <xi> = (1 + lam)^{1/2}, the elliptic weight at rep
-        if float(_bands(rep, "bessel", 1.0)[1, 0].real) >= MIN_WEIGHT \
-                and eigs[i] < best_ex:
-            best_ex = float(eigs[i])
-    scanned = {"scan_two_L": scan_two_L, "time_samples": len(times),
-               "x_samples": len(nodes)}
+        if float(_bands(rep, "bessel", 1.0)[1, 0].real) >= MIN_WEIGHT:
+            best_ex = min(best_ex, float(eigs[i]))
+
+    scanned, b = _scan(sym, T, time_samples, scan_two_L, weight_kind, visit,
+                       lambda b: (b >= max(best, best_ex), best <= TOL or b > TOL),
+                       lambda rep: _bands(rep, base, -m / 2.0)[1])
+    tail = "conclusive" if best <= TOL or b > TOL else "scan-limited"
+    if b > TOL:
+        best, best_ex = min(best, b), min(best_ex, b)
     kind = "strongly_elliptic" if best > TOL else "failed"
     ex_kind = "strongly_elliptic" if best_ex > TOL else "failed"
-    return EllipticityReport(kind, best, best_w, scanned, tail="scan-limited",
+    return EllipticityReport(kind, best, best_w, scanned, tail=tail,
                              excluded_constant=best_ex, excluded_kind=ex_kind,
                              min_weight=MIN_WEIGHT)
 

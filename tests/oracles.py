@@ -3,7 +3,10 @@
 Everything here is built from textbook angular-momentum formulas, from
 finite differences of the group-level evaluator, or (for the well-posedness
 scans) from one symbol evaluation per sample, deliberately avoiding the
-library's own batched machinery.  The SU(2) Fourier transforms are written
+library's own batched machinery; min_eig_at is the smallest eigenvalue of
+a weighted Hermitian part at one degree, from closed-form spectra and the
+ladder entries, against which the tail bound is checked.  The SU(2)
+Fourier transforms are written
 here with einsum, as the reference for the library's matrix-product stages.
 The time-stepping references are the per-scheme loops that evolve() and
 solve_reduced ran before both shared the evolve module's stepping core.
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigvalsh_tridiagonal, expm
 
 import lie_diffuse.wellposed as wp
 from lie_diffuse.harmonic import (
@@ -117,8 +120,11 @@ def su2_inverse_einsum(F, grid):
 #
 # The well-posedness scans as a plain per-sample loop: one sym.evaluator call
 # and one eigenvalue problem per (representation, time, x-node), in that
-# nesting order.  The library batches each (representation, time) slice over
-# the x-nodes; its reports must match these exactly.
+# nesting order, with representations by level (two_ell, or |k| with -k
+# first).  The library batches each (representation, time) slice over the
+# x-nodes and decides its depth and tail from a tail bound; given the depth
+# and tail of its report, the scanned minima, witnesses and verdicts must
+# match these exactly.
 
 def _time_grid(sym, T, n):
     if sym.t_independent or n == 1:
@@ -134,6 +140,11 @@ def _x_nodes(sym, max_x_samples):
     return list(range(0, n, stride))
 
 
+def _reps_by_level(group, depth):
+    return sorted(dual_enumerate(group, depth),
+                  key=lambda rep: rep.two_ell if group == SU2 else abs(rep.k))
+
+
 def _neg_herm(M):
     M = np.asarray(M)
     return -(0.5 * (M + M.conj().T))
@@ -146,25 +157,15 @@ def _min_eig(H):
     return float(np.linalg.eigvalsh(H).min())
 
 
-def _default_depth(sym, scan_two_L):
-    if scan_two_L is not None:
-        return scan_two_L
-    if not sym.x_independent:
-        return 2 * sym.two_L
-    return 100 if wp._herm_diagonal_everywhere(sym) else 40
-
-
-def positivity_per_sample(sym, T=1.0, time_samples=17, scan_two_L=None,
-                          tol=1e-10, max_x_samples=160):
-    """Reference for wellposed.positivity_check."""
+def positivity_per_sample(sym, report, T=1.0, time_samples=17, tol=1e-10,
+                          max_x_samples=160):
+    """Reference for wellposed.positivity_check, scanned to the depth of its
+    report; a passing scan takes the report's tail."""
     times = _time_grid(sym, T, time_samples)
     nodes = _x_nodes(sym, max_x_samples)
-    scan_two_L = _default_depth(sym, scan_two_L)
-    tail_kind, needed = wp._structural_tail(sym)
-    if tail_kind == "extend":
-        scan_two_L = max(scan_two_L, needed)
+    depth = report.scanned["scan_two_L"]
     best, best_w, first_fail = math.inf, None, None
-    for rep in dual_enumerate(sym.group, scan_two_L):
+    for rep in _reps_by_level(sym.group, depth):
         for t in times:
             for node in nodes:
                 eig = _min_eig(_neg_herm(sym.evaluator(t, node, rep)))
@@ -173,26 +174,27 @@ def positivity_per_sample(sym, T=1.0, time_samples=17, scan_two_L=None,
                     best_w = wp.Witness(t, node, rep, eig)
                 if eig < -tol and first_fail is None:
                     first_fail = wp.Witness(t, node, rep, eig)
-    scanned = {"scan_two_L": scan_two_L, "time_samples": len(times),
+    scanned = {"scan_two_L": depth, "time_samples": len(times),
                "x_samples": len(nodes)}
     if first_fail is not None:
         return wp.EllipticityReport("failed", best, first_fail, scanned,
                                     tail="conclusive")
-    tail = "scan-limited" if tail_kind == "none" else "conclusive"
-    return wp.EllipticityReport("positive", best, best_w, scanned, tail=tail)
+    return wp.EllipticityReport("positive", best, best_w, scanned, tail=report.tail)
 
 
-def strong_ellipticity_per_sample(sym, T=1.0, time_samples=17, scan_two_L=None,
+def strong_ellipticity_per_sample(sym, report, T=1.0, time_samples=17,
                                   weight_kind="elliptic",
                                   min_weight=math.sqrt(2.0), tol=1e-10,
                                   max_x_samples=160):
-    """Reference for wellposed.strong_ellipticity_constant."""
+    """Reference for wellposed.strong_ellipticity_constant, scanned to the
+    depth of its report.  A conclusive tail bound caps both constants, so
+    those are min(scanned, report's constant) and the tail the report's."""
     times = _time_grid(sym, T, time_samples)
     nodes = _x_nodes(sym, max_x_samples)
-    scan_two_L = _default_depth(sym, scan_two_L)
+    depth = report.scanned["scan_two_L"]
     m = sym.order
     best, best_w, best_ex = math.inf, None, math.inf
-    for rep in dual_enumerate(sym.group, scan_two_L):
+    for rep in _reps_by_level(sym.group, depth):
         Winvh = bessel_weight(rep, -m / 2.0, weight_kind)
         lam = rep.two_ell * (rep.two_ell + 2) / 4.0 if sym.group == SU2 \
             else float(rep.k ** 2)
@@ -206,13 +208,56 @@ def strong_ellipticity_per_sample(sym, T=1.0, time_samples=17, scan_two_L=None,
                     best_w = wp.Witness(t, node, rep, C)
                 if included and C < best_ex:
                     best_ex = C
-    scanned = {"scan_two_L": scan_two_L, "time_samples": len(times),
+    if report.tail == "conclusive":
+        best = min(best, report.constant)
+        best_ex = min(best_ex, report.excluded_constant)
+    scanned = {"scan_two_L": depth, "time_samples": len(times),
                "x_samples": len(nodes)}
     kind = "strongly_elliptic" if best > tol else "failed"
     ex_kind = "strongly_elliptic" if best_ex > tol else "failed"
-    return wp.EllipticityReport(kind, best, best_w, scanned, tail="scan-limited",
+    return wp.EllipticityReport(kind, best, best_w, scanned, tail=report.tail,
                                 excluded_constant=best_ex, excluded_kind=ex_kind,
                                 min_weight=min_weight)
+
+
+# ---------------------------------------------------------------- tail reference
+#
+# The smallest eigenvalue of -Herm sigma at one SU(2) degree, weighted by
+# W^{-m/2} on both sides when a weight kind is given, from the textbook
+# angular-momentum matrices and closed-form spectra (lam = ell(ell+1),
+# mu = lam - j^2), against which the library's tail bound is checked.
+
+def min_eig_at(terms, coefs, two_ell, m=0.0, kind=None):
+    """lambda_min of (W^{-m/2}) (-Herm sum_k coefs[k] base_k) (W^{-m/2}) at
+    two_ell, W the elliptic (1 + lam)^{1/2} or subelliptic (1 + mu)^{1/2}
+    weight (none when kind is None).  Every base is tridiagonal in the
+    increasing-j basis (J+ below the diagonal, with entries
+    (lam - j (j + 1))^{1/2}), and a Hermitian tridiagonal matrix is
+    unitarily similar to the real one with its diagonal and the moduli of
+    its off-diagonal."""
+    j = np.arange(-two_ell, two_ell + 1, 2) / 2.0
+    lam = np.full(two_ell + 1, two_ell * (two_ell + 2) / 4.0)
+    mu = lam - j ** 2
+    c = np.sqrt(lam[1:] - j[:-1] * (j[:-1] + 1))   # J+ from j to j + 1
+    zero = np.zeros_like(c)
+    diagonal = {"laplace": lambda e: lam ** e, "sublaplace": lambda e: mu ** e,
+                "bessel": lambda e: (1 + lam) ** (e / 2),
+                "sbessel": lambda e: (1 + mu) ** (e / 2),
+                "id": lambda e: np.ones_like(lam)}
+    fields = {"iX3": (j, zero, zero), "d0": (j, zero, zero), "X3": (-1j * j, zero, zero),
+              "X1": (0 * j, -0.5j * c, -0.5j * c), "X2": (0 * j, -0.5 * c, 0.5 * c),
+              "d+": (0 * j, c, zero), "d-": (0 * j, zero, c)}   # (main, sub, super)
+    main, sub, sup = 0j, 0j, 0j
+    for t, k in zip(terms, coefs):
+        d, lo, up = (diagonal[t.base](t.exponent), zero, zero) if t.base in diagonal \
+            else fields[t.base]
+        main, sub, sup = main + k * d, sub + k * lo, sup + k * up
+    h_main, h_sup = -np.real(main), -0.5 * (sup + np.conj(sub))
+    if kind is not None:
+        w = (1 + (lam if kind == "elliptic" else mu)) ** (-m / 4)
+        h_main, h_sup = w * w * h_main, w[:-1] * w[1:] * h_sup
+    return float(eigvalsh_tridiagonal(h_main * np.ones_like(lam), np.abs(h_sup) * np.ones_like(c),
+                                      select="i", select_range=(0, 0))[0])
 
 
 # ---------------------------------------------------------------- quantization reference

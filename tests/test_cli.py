@@ -3,6 +3,7 @@ import json
 import os
 import re
 import tempfile
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lie_diffuse.harmonic import SU2, TORUS1, RepIndex, random_field, save_field
+from lie_diffuse.wellposed import MAX_SCAN_TWO_L
 from lie_diffuse.cli import (
     ConfigError,
     RunConfig,
@@ -475,12 +477,28 @@ def test_non_finite_numbers_exit_2(tmp_path, operator, capsys):
 
 
 def test_symbol_overflow_exits_2(tmp_path, capsys):
-    # finite numbers whose symbol overflows to inf at two_ell = 2
+    # finite numbers whose symbol overflows to inf at two_ell = 2; the error
+    # is the one report, with no numpy RuntimeWarning before it
     cfg = write_config(tmp_path, operator="-1e300*laplace^100", u0="delta", two_L=4)
     for command in ("check", "evolve"):
-        assert main(["--config", cfg, "--command", command,
-                     "--out", str(tmp_path / command)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["--config", cfg, "--command", command,
+                         "--out", str(tmp_path / command)]) == 2
         assert "non-finite symbol" in capsys.readouterr().err
+
+
+def test_check_deepens_an_exact_scan_only_to_the_cap(tmp_path):
+    """-laplace^1/4 + 0.001*iX3 first fails near two_ell 2.8e6, where
+    0.001 ell outgrows lam^{1/4}; the exact diagonal scan stops at
+    MAX_SCAN_TWO_L with a scan-limited positivity tail."""
+    cfg = write_config(tmp_path, operator="-1*laplace^1/4 + 0.001*iX3", two_L=4)
+    assert main(["--config", cfg, "--command", "check",
+                 "--out", str(tmp_path / "out")]) == 0
+    pos = json.loads((tmp_path / "out" / "report.json").read_text())[
+        "classification"]["positivity"]
+    assert (pos["verdict"], pos["tail"]) == ("positive", "scan-limited")
+    assert pos["scanned"]["scan_two_L"] == MAX_SCAN_TWO_L
 
 
 @pytest.mark.parametrize("spec", ["random abc", "random -1", "xi -2 0 0",

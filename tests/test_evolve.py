@@ -20,7 +20,6 @@ from lie_diffuse.symbol import (OperatorSpec, OperatorTerm, apply_spectral,
 from lie_diffuse.evolve import (
     EvolutionProblem,
     SolverError,
-    energy_estimate_check,
     energy_identity_residual,
     evolve,
     sobolev_norm,

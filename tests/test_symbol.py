@@ -11,7 +11,6 @@ from lie_diffuse.harmonic import (
     GridSpec,
     RepIndex,
     SpectralField,
-    dual_enumerate,
     fourier_forward,
     fourier_inverse,
     quadrature_grid,

@@ -16,8 +16,10 @@ from lie_diffuse.harmonic import (
     quadrature_grid,
     random_field,
 )
-from lie_diffuse.symbol import OperatorSpec, OperatorTerm, build_operator_symbol
+from lie_diffuse.symbol import (VECTOR_FIELDS, WEIGHT_KINDS, OperatorSpec, OperatorTerm,
+                                build_operator_symbol)
 from lie_diffuse.wellposed import (
+    TOL,
     classify_problem,
     garding_order_bound,
     hermitian_part,
@@ -26,7 +28,7 @@ from lie_diffuse.wellposed import (
     su2_drift_criterion,
 )
 
-from oracles import positivity_per_sample, strong_ellipticity_per_sample
+from oracles import min_eig_at, positivity_per_sample, strong_ellipticity_per_sample
 
 
 def drift_symbol(a, a3, m=1.0, two_L=8):
@@ -451,9 +453,11 @@ def as_json(report):
 def test_batched_scans_match_per_sample_reference(case):
     make, weight_kind = SCAN_CASES[case]
     sym = make()
-    assert as_json(positivity_check(sym)) == as_json(positivity_per_sample(sym))
-    assert as_json(strong_ellipticity_constant(sym, weight_kind=weight_kind)) \
-        == as_json(strong_ellipticity_per_sample(sym, weight_kind=weight_kind))
+    report = positivity_check(sym)
+    assert as_json(report) == as_json(positivity_per_sample(sym, report))
+    report = strong_ellipticity_constant(sym, weight_kind=weight_kind)
+    assert as_json(report) == as_json(
+        strong_ellipticity_per_sample(sym, report, weight_kind=weight_kind))
 
 
 def test_tridiagonal_scans_take_the_dense_path():
@@ -477,30 +481,90 @@ def test_time_profile_tail_is_scan_limited():
         OperatorTerm("laplace", exponent=0.5, const=-1.0, profile=p)]))
     report = positivity_check(sym, T=1.0)
     assert (report.kind, report.tail) == ("positive", "scan-limited")
-    assert as_json(report) == as_json(positivity_per_sample(sym))
+    assert as_json(report) == as_json(positivity_per_sample(sym, report))
     assert classify_problem(sym, T=1.0).case == "CaseII"
     const = build_operator_symbol(OperatorSpec(SU2, 4, [
         OperatorTerm("laplace", exponent=0.5, const=-1.0)]))
     assert positivity_check(const).tail == "conclusive"
 
 
-@pytest.mark.parametrize("drift,depth,kind,witness", [
-    ((3.0,), 8, "failed", (1, -0.75)),
-    ((0.5,), 3, "positive", (0, 0.0)),
-    ((1.0, -1.0), 0, "positive", (0, 0.0)),
+@pytest.mark.parametrize("drift,depth,kind,fixed_tail", [
+    ((3.0,), 5, "failed", "scan-limited"),
+    ((0.5,), 0, "positive", "conclusive"),
+    ((1.0, -1.0), 0, "positive", "conclusive"),
 ], ids=["drift-wins-at-low-degree", "drift-dominated", "drift-cancels"])
-def test_laplace_drift_tail_sets_the_scan_depth(drift, depth, kind, witness):
-    """-laplace + a3*iX3 (order m = 2) scanned from depth 0: the Laplacian
-    dominates the drift past 2 ell = 2 |a3|, so the scan extends to
-    2 |a3| + 2; a cancelling pair iX3 - iX3 needs no extension.  Every
-    verdict is conclusive."""
+def test_laplace_drift_tail_sets_the_scan_depth(drift, depth, kind, fixed_tail):
+    """-laplace + a3*iX3 (order m = 2).  With x = 1/(1 + lam) the tail
+    bound past level n is 1 - x_n - |a3| x_n^{1/2} (|j| <= lam^{1/2}), so
+    the default scan stops at the first level where it is >= 0: past
+    two_ell 5 for |a3| = 3 (a witness at two_ell 1), at once for 0.5 and
+    for the cancelling pair iX3 - iX3, whose constant drifts add before the
+    bound takes their size.  Every tail is conclusive.  A given depth 0 is
+    scanned as given, and the bound past it holds except for |a3| = 3."""
     terms = [OperatorTerm("laplace", const=-1.0)]
     terms += [OperatorTerm("iX3", const=a3) for a3 in drift]
-    report = positivity_check(build_operator_symbol(OperatorSpec(SU2, 4, terms)),
-                              scan_two_L=0)
+    sym = build_operator_symbol(OperatorSpec(SU2, 4, terms))
+    report = positivity_check(sym)
     assert (report.kind, report.tail) == (kind, "conclusive")
     assert report.scanned["scan_two_L"] == depth
-    assert (report.witness.rep.two_ell, report.witness.eig) == witness
+    assert (report.witness.rep.two_ell, report.witness.eig) \
+        == ((1, -0.75) if kind == "failed" else (0, 0.0))
+    fixed = positivity_check(sym, scan_two_L=0)
+    assert (fixed.kind, fixed.tail, fixed.scanned["scan_two_L"]) \
+        == ("positive", fixed_tail, 0)
+
+
+@pytest.mark.parametrize("base,exponent,two_ell,eig", [
+    ("bessel", 0.5, 202, -0.0250958062102562),
+    ("laplace", 0.25, 201, -0.00018595352855399483),
+])
+def test_drift_past_the_default_depth_is_found(base, exponent, two_ell, eig):
+    """-base^e + 0.1*iX3 is diagonal and x- and t-independent, so its
+    bound is exact, and the drift, of order 1 above the diffusion's 1/2,
+    outgrows it past the default depth: the scan runs on until the first
+    violation (j = ell, where (1 + lam)^{1/4} or lam^{1/4} falls below
+    0.1 ell).  -bessel^1/2 + 0.1*iX3 once read CaseI with C = 0.0417 on a
+    scan-limited tail at depth 100."""
+    sym = build_operator_symbol(OperatorSpec(SU2, 4, [
+        OperatorTerm(base, exponent, const=-1.0), OperatorTerm("iX3", const=0.1)]))
+    cls = classify_problem(sym)
+    assert cls.case == "Unverified"
+    pos = cls.positivity_report
+    assert (pos.kind, pos.tail) == ("failed", "conclusive")
+    assert pos.scanned["scan_two_L"] >= two_ell
+    assert (pos.witness.rep.two_ell, pos.witness.eig) == (two_ell, pytest.approx(eig, rel=1e-9))
+
+
+def test_scans_stop_once_the_bound_settles_them():
+    """-bessel^2 has the exact tail bound 1 = W^2 / W^2: the strong
+    ellipticity scan stops at two_ell 2, the first degree the excluded
+    rerun (<xi> >= sqrt 2) sees, with C its scanned minimum.
+    -laplace^1/2 vanishes at the trivial representation; its bound
+    (1 - 1/(1 + lam_n))^{1/2} passes the excluded minimum sqrt(2/3) past
+    two_ell 2, and positivity stops at once, the bound being >= 0."""
+    heat = build_operator_symbol(OperatorSpec(SU2, 8, [
+        OperatorTerm("bessel", 2.0, const=-1.0)]))
+    se = strong_ellipticity_constant(heat)
+    assert (se.kind, se.tail, se.scanned["scan_two_L"]) == ("strongly_elliptic", "conclusive", 2)
+    assert se.constant == pytest.approx(1.0, rel=1e-15)
+    half = drift_symbol(-1.0, 0.0)
+    se = strong_ellipticity_constant(half)
+    assert (se.kind, se.tail, se.scanned["scan_two_L"]) == ("failed", "conclusive", 2)
+    assert se.excluded_constant == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-15)
+    assert positivity_check(half).scanned["scan_two_L"] == 0
+
+
+def test_certified_constant_is_the_bound_below_the_scan():
+    """-sbessel^2 + 0.5*d0 + 0.2*X3 against the subelliptic weight reads
+    1 - 0.5 j / (1 + mu) >= 1/2 (|j| <= mu; the real X3 has no Hermitian
+    part), with infimum 1/2 approached as ell grows: the scanned minimum
+    stays above it, and the conclusive C is the bound 1/2."""
+    sym = build_operator_symbol(OperatorSpec(SU2, 6, [
+        OperatorTerm("sbessel", 2.0, const=-1.0), OperatorTerm("d0", const=0.5),
+        OperatorTerm("X3", const=0.2)]))
+    se = strong_ellipticity_constant(sym, weight_kind="subelliptic")
+    assert (se.kind, se.tail, se.constant) == ("strongly_elliptic", "conclusive", 0.5)
+    assert se.witness.eig > 0.5
 
 
 def test_empty_depth_scan_is_rejected():
@@ -550,3 +614,67 @@ def test_structured_scan_makes_no_evaluator_calls():
     positivity_check(sym)
     strong_ellipticity_constant(sym)
     assert len(calls) == 0
+
+
+# ---------------------------------------------------------------- tail soundness
+
+TERM_BASES = ([("laplace", q) for q in (0.25, 0.5, 1.0, 1.5)]
+              + [("sublaplace", q) for q in (0.5, 1.0)]
+              + [("bessel", s) for s in (-1.0, 0.5, 1.0, 2.0)]
+              + [("sbessel", s) for s in (1.0, 2.0)] + [("id", 1.0)]
+              + [(name, 1.0) for name in ("iX3", "d0", "X1", "X2", "X3", "d+", "d-")])
+
+
+@st.composite
+def tail_cases(draw):
+    """1-3 SU(2) terms with real or complex constants, at two_L = 2, and a
+    weight kind; at most one diffusion term carries a real coefficient
+    1 + amp r(x) / max|r|, which for amp > 1 dips below 0 somewhere."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        base, exponent = draw(st.sampled_from(TERM_BASES))
+        const = complex(draw(st.sampled_from([-2.0, -1.0, -0.5, -0.2, 0.3, 1.0])),
+                        draw(st.sampled_from([0.0, 0.0, 0.3, -0.7])))
+        terms.append(OperatorTerm(base, exponent, const))
+    diffusion = [t for t in terms if t.base not in VECTOR_FIELDS]
+    if diffusion and draw(st.booleans()):
+        draw(st.sampled_from(diffusion)).space = real_coef(
+            SU2, 2, draw(st.sampled_from([0.5, 0.9, 1.1])), seed=draw(st.integers(0, 9)))
+    return terms, draw(st.sampled_from(WEIGHT_KINDS))
+
+
+def oracle_degrees(depth):
+    """Every degree up to twice the scan depth, then geometrically to 400."""
+    degrees = list(range(2 * depth + 1))
+    while degrees[-1] < 400:
+        degrees.append(min(400, int(1.5 * degrees[-1]) + 1))
+    return degrees
+
+
+@given(case=tail_cases())
+@settings(max_examples=100, deadline=None)
+def test_conclusive_tails_hold_past_the_scan(case):
+    """A conclusive positive or strongly elliptic report holds where the
+    scan did not look: at every degree up to twice its depth and at
+    geometrically spaced degrees up to two_ell 400, with the coefficient
+    taken on the two_L = 24 grid, the dense oracle finds nothing below C
+    (below -TOL for positivity).  The weighted Hermitian part is affine in
+    the coefficient value s, so its smallest eigenvalue is concave in s and
+    the grid's extreme values of s are the ones to check."""
+    terms, kind = case
+    sym = build_operator_symbol(OperatorSpec(SU2, 2, terms))
+    values = [[t.const] for t in sym.terms]
+    for i, t in enumerate(sym.terms):
+        if t.space is not None:
+            s = fourier_inverse(t.space, quadrature_grid(SU2, 24)).values.real
+            values[i] = [t.const * s.min(), t.const * s.max()]
+    picks = [[v[0] for v in values], [v[-1] for v in values]]
+    for report, weight in ((strong_ellipticity_constant(sym, weight_kind=kind), kind),
+                           (positivity_check(sym), None)):
+        if report.tail != "conclusive" or not report.ok:
+            continue
+        floor = report.constant if weight else -TOL
+        for two_ell in oracle_degrees(report.scanned["scan_two_L"]):
+            for coefs in picks:
+                eig = min_eig_at(sym.terms, coefs, two_ell, sym.order, weight)
+                assert eig >= floor - 1e-9 * (1.0 + abs(eig)), (two_ell, coefs)

@@ -9,8 +9,11 @@ process with ``PYTHONPATH`` pointed at that tree.  Configs of the command
 coefficients or time profiles, so only the library reaches the
 x-dependent steppers.  For every config the
 script prints the two exit codes and, per artifact, whether the bytes match
-and the largest relative difference between corresponding numbers.  The
-exit status is 1 when any exit code or artifact differs, else 0.
+and the largest relative difference between corresponding numbers.  For a
+JSON artifact whose bytes differ it then prints each differing JSON path
+with its old and new value (at most MAX_PATHS of them, then a count), e.g.
+``classification.strong_ellipticity.tail: "scan-limited" -> "conclusive"``.
+The exit status is 1 when any exit code or artifact differs, else 0.
 """
 
 from __future__ import annotations
@@ -155,6 +158,29 @@ def max_rel_diff(a: str, b: str) -> float | None:
     return worst
 
 
+MAX_PATHS = 50      # differing JSON paths printed per artifact
+_ABSENT = object()  # a key found on one side only
+
+
+def json_diffs(a, b, path: str = ""):
+    """Yield (path, old, new) for each place where two JSON values differ:
+    objects recurse by key, equally long arrays by index, anything else is
+    compared by its JSON text (so NaN equals NaN)."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            yield from json_diffs(a.get(key, _ABSENT), b.get(key, _ABSENT),
+                                  f"{path}.{key}" if path else key)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from json_diffs(x, y, f"{path}[{i}]")
+    elif a is _ABSENT or b is _ABSENT or json.dumps(a) != json.dumps(b):
+        yield path, a, b
+
+
+def _show(value) -> str:
+    return "(absent)" if value is _ABSENT else json.dumps(value)
+
+
 def compare(old: Path, new: Path, name: str, command: str, config: dict,
             tmp: Path) -> bool:
     code_old = run_tree(old, command, config, tmp / name / "old")
@@ -179,6 +205,13 @@ def compare(old: Path, new: Path, name: str, command: str, config: dict,
         detail = "number count differs" if rel_diff is None \
             else f"max relative difference {rel_diff:.3e}"
         print(f"  {rel}: bytes differ, {detail}")
+        if rel.suffix == ".json":
+            diffs = list(json_diffs(json.loads(a.read_text()),
+                                    json.loads(b.read_text())))
+            for path, x, y in diffs[:MAX_PATHS]:
+                print(f"    {path}: {_show(x)} -> {_show(y)}")
+            if len(diffs) > MAX_PATHS:
+                print(f"    ... and {len(diffs) - MAX_PATHS} more paths")
     return same
 
 
