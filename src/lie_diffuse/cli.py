@@ -138,7 +138,7 @@ def parse_operator(expr: str) -> list[OperatorTerm]:
 def parse_field_spec(spec: str, group: str, two_L: int, seed: int) -> SpectralField:
     parts = spec.split()
     if not parts:
-        raise ConfigError("empty field spec")
+        raise ConfigError(f"empty field spec {spec!r}")
     name = parts[0]
     if name in ("xi", "random"):
         try:

@@ -48,8 +48,7 @@ from .harmonic import (
     spectral_inner,
 )
 from .symbol import (WEIGHT_KINDS, Symbol, _apply_op, _bands, _invariant_operand,
-                     _weight_base, apply_spectral, averaged_matrix,
-                     invariant_apply)
+                     _weight_base, apply_spectral, invariant_apply)
 from .wellposed import Classification, classify_problem
 
 
@@ -312,7 +311,7 @@ def step_exact_invariant(state: SpectralField, sym: Symbol, forcing=None,
         raise ValueError("exact stepper needs an x-independent symbol")
     layout = state.layout
     return _step_field("exact", state, None, forcing, t, dt, lambda tau, h: _propagators(
-        _operand(layout, 1, partial(averaged_matrix, sym), tau + 0.5 * h), layout, h))
+        _operand(layout, 1, sym.matrix, tau + 0.5 * h), layout, h))
 
 
 def _symbol_operand(sym: Symbol, F: SpectralField, t: float):
@@ -324,7 +323,7 @@ def _symbol_operand(sym: Symbol, F: SpectralField, t: float):
 
     def op(U):
         return apply_spectral(sym, t, F.with_data(U[0])).data[None]
-    op.pre = partial(_operand, F.layout, 1, partial(averaged_matrix, sym), t)
+    op.pre = partial(_operand, F.layout, 1, sym.matrix, t)
     return op
 
 
@@ -346,7 +345,7 @@ def step_crank_nicolson(state: SpectralField, sym: Symbol, forcing=None,
     # an x-independent symbol goes block by block: a per-entry product
     # rounds unlike the matrix product
     operand = (partial(_symbol_operand, sym, state) if not sym.x_independent
-               else lambda tau: tuple(averaged_matrix(sym, tau, rep)
+               else lambda tau: tuple(sym.matrix(tau, rep)
                                       for rep in state.layout.reps))
     return _step_field("cn", state, operand, forcing, t, dt)
 
@@ -475,7 +474,7 @@ def evolve(problem: EvolutionProblem, scheme: str = "auto", dt: float = 1e-2,
     scheme, dt, trajectory = _integrate(
         u0.data[None].copy(), u0.layout, problem.T, dt, scheme,
         x_independent=sym.x_independent, t_independent=sym.t_independent,
-        forcing=problem.forcing, matrix=partial(averaged_matrix, sym),
+        forcing=problem.forcing, matrix=sym.matrix,
         step=lambda scheme, U, t, h: _STEPPERS[scheme](
             field(U), sym, problem.forcing, t, h).data[None], record=field)
 

@@ -20,9 +20,11 @@ Operators are described structurally as sums of coefficient * base terms
 (OperatorSpec); coefficients may be constants, bandlimited spatial fields,
 and scalar time profiles.  A Symbol is its terms: every metadata value and
 its dense evaluator are computed from them, and every application path
-reads them.  Products of a spatial coefficient with a bandlimited state are
-formed on a grid resolving the combined bandwidth and projected back, which
-avoids aliasing.
+reads them.  Symbol.coefficients is the one rule for a term's coefficient
+at a time, at x-nodes or averaged over x, and Symbol.coefficient_range its
+certified range over the group.  Products of a spatial coefficient with a
+bandlimited state are formed on a grid resolving the combined bandwidth and
+projected back, which avoids aliasing.
 
 Every base is diagonal or a ladder matrix, so a structured symbol is held
 per representation as its (..., 3, d) bands: row r of the sub, main and
@@ -30,7 +32,8 @@ super band holds A[r, r-1], A[r, r] and A[r, r+1].  _bands is the one place
 a base's spectrum is written, from lam = ell(ell+1) and j (k^2 and j = 0 on
 the circle); the dense builders (laplace_symbol, ..., bessel_weight) are the
 fill of its bands.  One assembly (_assemble) sums coefficient * bands in
-term order for the evaluator, averaged_matrix, the operands and the scans.
+term order for the evaluator (and so Symbol.matrix, the one dense
+accessor), the operands and the scans.
 On a packed SpectralField, entry (r, c) of a block takes main[r] x[r, c] +
 sub[r] x[r-1, c] + super[r] x[r+1, c] through the layout's row-shift
 indices, or main[r] x[r, c] alone when the off-bands vanish.  _apply_op
@@ -316,7 +319,8 @@ class Symbol:
     these six: order (the largest term order), x_independent and
     t_independent (no term has a spatial factor, a time profile), base_grid
     (the two_L quadrature grid, whose flat node indices are the x-nodes of
-    the scans and of evaluator), and the dense evaluator.
+    coefficients, the scans and evaluator), the coefficients and their
+    ranges, and the dense evaluator.
     """
 
     terms: list[OperatorTerm]
@@ -358,22 +362,64 @@ class Symbol:
             self._cache[key] = build()
         return self._cache[key]
 
-    def evaluator(self, t: float, x_node: int | None, rep: RepIndex) -> np.ndarray:
-        """The dense d x d symbol at time t and representation rep; x_node is
-        a flat node index into base_grid, or None for an x-independent
-        symbol.  An instance may assign its own evaluator (a counting
-        wrapper, say), which matrix() then calls."""
+    def coefficients(self, t: float, nodes=None) -> list:
+        """Each term's coefficient at time t: const * profile(t) times its
+        spatial factor, as an (n_x, 1, 1) column over the given flat
+        base_grid node indices, or times the factor's mean (its
+        trivial-representation coefficient) when nodes is None; a scalar
+        for a term without a spatial factor.  The products are taken one
+        node at a time: numpy's vectorised complex product may round
+        differently, and reports are pinned to this rounding."""
         coefs = [term.at(t) for term in self.terms]
         for i, term in enumerate(self.terms):
-            if term.space is not None:
-                if x_node is None:
-                    raise ValueError("x-dependent symbol needs a node index")
-                coefs[i] = coefs[i] * self.space_samples(i, self.base_grid)[x_node]
-        return _densify(_assemble(self.terms, coefs, rep))
+            if term.space is None:
+                continue
+            if nodes is None:
+                coefs[i] = coefs[i] * term.space[RepIndex(self.group)][0, 0]
+            else:
+                s = self.space_samples(i, self.base_grid)
+                coefs[i] = np.array([coefs[i] * s[n] for n in nodes])[:, None, None]
+        return coefs
+
+    def coefficient_range(self, i: int):
+        """Interval of term i's real spatial factor space(x) over the whole
+        group, (1, 1) without one; None for a complex-valued factor and for
+        a time profile, an opaque callable that cannot be bounded between
+        its samples.
+
+        space(x) = sum_xi d_xi Tr[xi(x) c_hat(xi)] with every xi(x) unitary,
+        so |space(x) - c_hat(1)| <= sum_{xi != 1} d_xi ||c_hat(xi)||_*
+        (nuclear norms; Ruzhansky & Turunen, Pseudo-Differential Operators
+        and Symmetries, 2010).  The base-grid samples would miss a dip
+        between the nodes.
+        """
+        term = self.terms[i]
+        if term.profile is not None:
+            return None
+        if term.space is None:
+            return 1.0, 1.0
+        s = self.space_samples(i, self.base_grid)
+        if np.abs(s.imag).max() > 1e-10 * (1.0 + np.abs(s.real).max()):
+            return None
+        trivial = RepIndex(self.group)     # k = 0 on the circle
+        mean = float(term.space[trivial][0, 0].real)
+        radius = sum(rep.dim * float(np.linalg.svd(c, compute_uv=False).sum())
+                     for rep, c in term.space.items() if rep != trivial)
+        return mean - radius, mean + radius
+
+    def evaluator(self, t: float, x_node: int | None, rep: RepIndex) -> np.ndarray:
+        """The dense d x d symbol at time t and representation rep; x_node is
+        a flat node index into base_grid, or None for the x-average (the
+        symbol itself when x-independent).  An instance may assign its own
+        evaluator (a counting wrapper, say), which matrix() then calls."""
+        coefs = self.coefficients(t, None if x_node is None else [x_node])
+        return _densify(_assemble(self.terms, coefs, rep).reshape(3, rep.dim))
 
     def matrix(self, t: float, rep: RepIndex) -> np.ndarray:
-        """The x-independent symbol at rep; a t-independent one is evaluated
-        once per representation."""
+        """The dense symbol at rep, averaged over x (evaluator with no node):
+        the one dense accessor, and for an x-dependent symbol the per-mode
+        preconditioner of implicit solves.  A t-independent symbol is
+        evaluated once per representation."""
         if not self.t_independent:
             return self.evaluator(t, None, rep)
         return self._cached(rep, lambda: self.evaluator(t, None, rep))
@@ -396,7 +442,7 @@ def _invariant_operand(sym: Symbol, t: float, F: SpectralField):
     """The operand of sym at t over F's layout, assembled from its terms and
     built once if t-independent."""
     def build():
-        coefs = [term.at(t) for term in sym.terms]
+        coefs = sym.coefficients(t)
         return _operand([_assemble(sym.terms, coefs, rep)
                          for rep in F.layout.reps], F.layout)
     return sym._cached((F.group, F.two_L), build) if sym.t_independent else build()
@@ -455,19 +501,3 @@ def apply_spectral(sym: Symbol, t: float, F: SpectralField) -> SpectralField:
     out = fourier_forward(GridField(big, acc_grid), F.two_L)
     return acc_spec + out
 
-
-def averaged_matrix(sym: Symbol, t: float, rep: RepIndex) -> np.ndarray:
-    """Haar average over x of the symbol at one representation.
-
-    For an x-independent symbol this is its block (Symbol.matrix, cached
-    when t-independent); otherwise each spatial factor is replaced by its
-    mean, the trivial-representation coefficient.  It serves as a per-mode
-    preconditioner for implicit solves with spatially varying coefficients.
-    """
-    if sym.x_independent:
-        return np.asarray(sym.matrix(t, rep))
-    trivial = RepIndex(sym.group)     # k = 0 on the circle
-    coefs = [term.at(t) if term.space is None
-             else term.at(t) * term.space.coeffs[trivial][0, 0]
-             for term in sym.terms]
-    return _densify(_assemble(sym.terms, coefs, rep))

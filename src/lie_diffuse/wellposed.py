@@ -28,7 +28,8 @@ that bound b past the scan:
 * a conclusive strong-ellipticity C is min(scanned minimum, b), which holds
   at every frequency (likewise the low-frequency-excluded C);
 * without a given scan_two_L a scan stops at the first level past which b
-  is at least every running minimum the report prints, so the constants,
+  (for positivity, the least b W^m past it, on a conclusive tail) is at
+  least every running minimum the report prints, so the constants,
   witnesses and verdicts are those of a full-depth scan.  Otherwise it runs
   to the default depth, SCAN_TWO_L or 2 two_L for an x-dependent symbol,
   and past it, up to MAX_SCAN_TWO_L, only while the tail is open and the
@@ -124,32 +125,6 @@ class EllipticityReport:
         return out
 
 
-def _coef_range(term, sym, i):
-    """Interval of a term's real spatial factor space(x) over the whole
-    group, (1, 1) without one; None for a complex-valued factor and for a
-    time profile, an opaque callable that cannot be bounded between its
-    samples.
-
-    space(x) = sum_xi d_xi Tr[xi(x) c_hat(xi)] with every xi(x) unitary, so
-    |space(x) - c_hat(1)| <= sum_{xi != 1} d_xi ||c_hat(xi)||_* (nuclear
-    norms; Ruzhansky & Turunen, Pseudo-Differential Operators and
-    Symmetries, 2010).  The base-grid samples would miss a dip between the
-    nodes.
-    """
-    if term.profile is not None:
-        return None
-    if term.space is None:
-        return 1.0, 1.0
-    s = sym.space_samples(i, sym.base_grid)
-    if np.abs(s.imag).max() > 1e-10 * (1.0 + np.abs(s.real).max()):
-        return None
-    trivial = RepIndex(sym.group)     # k = 0 on the circle
-    mean = float(term.space[trivial][0, 0].real)
-    radius = sum(rep.dim * float(np.linalg.svd(c, compute_uv=False).sum())
-                 for rep, c in term.space.items() if rep != trivial)
-    return mean - radius, mean + radius
-
-
 def _diag_units(base: str, e: float, kind: str):
     """(lower, upper) units bounding the entries of a diagonal base (bessel
     with e = 0 for id) against the weight of kind, None for the bound 0.
@@ -170,6 +145,24 @@ def _diag_units(base: str, e: float, kind: str):
     return ends[::-1] if bessel and e < 0 else ends
 
 
+def _lam(group: str, n: int) -> float:
+    """The Laplacian eigenvalue at scan level n: ell(ell+1), or k^2."""
+    return n / 2 * (n / 2 + 1) if group == SU2 else float(n * n)
+
+
+def _unweighted_floor(b: float, m: float, lam: float) -> float:
+    """inf over W >= (1 + lam)^{1/2} of b W^m: a lower bound on the
+    eigenvalues of -Herm sigma at every level past lam where b bounds
+    W^{-m/2} (-Herm sigma) W^{-m/2} (the elliptic weight is a scalar per
+    representation).  W^m is capped below overflow, which only lowers a
+    positive floor."""
+    if b < 0 < m or b == -math.inf:
+        return -math.inf
+    if b > 0 > m:
+        return 0.0
+    return b * math.exp(min(0.5 * m * math.log1p(lam), 700.0))
+
+
 def _tail_bound(sym: Symbol, kind: str):
     """(bound, exact): bound(n) is a certified lower bound on the smallest
     eigenvalue of W^{-m/2} (-Herm sigma) W^{-m/2} at every scan level >= n,
@@ -179,11 +172,11 @@ def _tail_bound(sym: Symbol, kind: str):
     Gershgorin's theorem on D^2 (-Herm sigma), similar to the weighted
     matrix (D = W^{-m/2}), bounds it below by the smallest row value
     W_r^{-m} (H_rr - |H_r,r-1| - |H_r,r+1|).  A term of real factor s in
-    [lo, hi] (_coef_range) adds s times the Hermitian part of its constant
-    times its base, so each row gains at least c u(W_r), c a coefficient
-    and u a unit (W^2 - 1)^a W^b (_diag_units; |j| <= ell <= lam^{1/2} and
-    |j| <= mu; the ladder row sums c_{r-1} + c_r <= 2 mu^{1/2} by
-    concavity).  Terms of one unit add their coefficients first, so equal
+    [lo, hi] (Symbol.coefficient_range) adds s times the Hermitian part of
+    its constant times its base, so each row gains at least c u(W_r), c a
+    coefficient and u a unit (W^2 - 1)^a W^b (_diag_units; |j| <= ell <=
+    lam^{1/2} and |j| <= mu; the ladder row sums c_{r-1} + c_r <= 2 mu^{1/2}
+    by concavity).  Terms of one unit add their coefficients first, so equal
     leading orders compare by coefficient.  With x = W^-2 in (0, x_n], unit
     over W^m is (1 - x)^a x^e, e = (m - 2a - b)/2; a positive leading unit
     (e = 0) is replaced by the line below (1 - x)^a that meets it at x_n,
@@ -194,7 +187,7 @@ def _tail_bound(sym: Symbol, kind: str):
     units, exact = {}, sym.x_independent and sym.t_independent
     fields = {}    # per spatial factor: (max |s|, -Herm at two_ell = 1)
     for i, term in enumerate(sym.terms):
-        rng = _coef_range(term, sym, i)
+        rng = sym.coefficient_range(i)
         if rng is None:
             return (lambda n: -math.inf), False
         if term.base in VECTOR_FIELDS:    # j = +-1/2 and c_0 = 1 at two_ell = 1
@@ -217,8 +210,7 @@ def _tail_bound(sym: Symbol, kind: str):
 
     def bound(n: int) -> float:
         n = n if sym.x_independent else 0   # x-nodes do not bound a level
-        lam = n / 2 * (n / 2 + 1) if sym.group == SU2 else n * n
-        x = 1.0 / (1.0 + (lam if kind == "elliptic" else n / 2))
+        x = 1.0 / (1.0 + (_lam(sym.group, n) if kind == "elliptic" else n / 2))
         powers = {}
         for (a, b), c in units.items():
             e = (m - 2.0 * a - b) / 2.0
@@ -266,27 +258,6 @@ def _scan_grid(sym: Symbol, T: float, time_samples: int, scan_two_L: int | None)
     return times, nodes, scan_two_L
 
 
-def _term_coefficients(sym: Symbol, times: list[float], nodes: list) -> list:
-    """Per time, each term's coefficient: a scalar, or an (n_x, 1, 1) column
-    over the x-nodes for terms with a spatial factor.
-
-    The products are taken one node at a time in the evaluator's order
-    (const * profile(t) * space(x)); numpy's vectorised complex product may
-    round differently.
-    """
-    rows = []
-    for t in times:
-        row = []
-        for i, term in enumerate(sym.terms):
-            c = term.at(t)
-            if term.space is not None:
-                s = sym.space_samples(i, sym.base_grid)
-                c = np.array([c * s[node] for node in nodes])[:, None, None]
-            row.append(c)
-        rows.append(row)
-    return rows
-
-
 def _scan(sym: Symbol, T: float, time_samples: int, scan_two_L: int | None,
           kind: str, visit, settle, weight=None):
     """Scan (t, x, xi) level by level (two_ell, or |k| with -k first), then
@@ -296,23 +267,24 @@ def _scan(sym: Symbol, T: float, time_samples: int, scan_two_L: int | None,
     visit(rep, t, nodes, eigs) sees every (representation, time) slice, eigs
     holding the smallest eigenvalue of -Herm(sigma(t, x, rep)) at each
     x-node (of W (-Herm sigma) W with W = diag(weight(rep)) when given).
-    After level n, settle(b) reads the caller's running minima against the
-    bound b past it: (settled, conclusive), the bound being at least every
-    minimum the report prints, and the tail conclusive.  A given scan_two_L
-    is scanned exactly.  Otherwise the scan ends once settled, else at the
+    After level n, settle(b, lam) reads the caller's running minima against
+    the bound b past it, lam being the Laplacian eigenvalue at level n + 1:
+    (settled, conclusive), the bound being at least every minimum the
+    report prints, and the tail conclusive.  A given scan_two_L is scanned
+    exactly.  Otherwise the scan ends once settled, else at the
     default depth (_scan_grid) if the tail is conclusive or the bound not
     exact, else at the first conclusive level or MAX_SCAN_TWO_L.
 
-    A slice is assembled as (n_x, 3, d) bands with the evaluator's
-    operation order; -Herm is -(0.5 (B + B^*)) band by band and the weight
-    (w_r H_rc) w_c per entry, the operations of the dense -(M + M^*)/2 and
-    W H W, so every entry is bit-identical to the dense slice's.  A slice
+    A slice is assembled as (n_x, 3, d) bands from Symbol.coefficients at
+    the x-nodes, which the evaluator reads too; -Herm is -(0.5 (B + B^*))
+    band by band and the weight (w_r H_rc) w_c per entry, the operations of
+    the dense -(M + M^*)/2 and W H W, so every entry is bit-identical to the dense slice's.  A slice
     with a NaN or infinite entry raises ValueError naming its first such
     x-node: eigvalsh would return NaN, which no tolerance test rejects, or
     fail with a bare LAPACK error.
     """
     times, nodes, depth = _scan_grid(sym, T, time_samples, scan_two_L)
-    coefs = _term_coefficients(sym, times, nodes)
+    coefs = [sym.coefficients(t, nodes) for t in times]
     bound, exact = _tail_bound(sym, kind)
     for n in itertools.count():
         for rep in ([RepIndex(SU2, two_ell=n)] if sym.group == SU2
@@ -334,7 +306,7 @@ def _scan(sym: Symbol, T: float, time_samples: int, scan_two_L: int | None,
                     eigs[rows] = np.linalg.eigvalsh(_densify(H[rows])).min(axis=1)
                 visit(rep, t, nodes, eigs)
         b = bound(n + 1)
-        settled, conclusive = settle(b)
+        settled, conclusive = settle(b, _lam(sym.group, n + 1))
         if n >= depth if scan_two_L is not None else (
                 settled or n >= depth and (conclusive or not exact or n >= MAX_SCAN_TWO_L)):
             return {"scan_two_L": n, "time_samples": len(times),
@@ -348,8 +320,9 @@ def positivity_check(sym: Symbol, T: float = 1.0, time_samples: int = 17,
     The verdict is "positive" when the smallest Hermitian-part eigenvalue of
     -sigma stays above -TOL, otherwise "failed" with the first violating
     sample as witness.  The tail is "conclusive" on a failure or when the
-    elliptic tail bound past the scan is >= 0, else "scan-limited".  The
-    scan settles once that bound is >= 0 >= the scanned minimum (_scan).
+    elliptic tail bound b past the scan is >= 0, else "scan-limited".  The
+    scan settles once the tail is conclusive and the least b W^m past it
+    (_unweighted_floor) is at least the scanned minimum (_scan).
     """
     best, best_w, first_fail = math.inf, None, None
 
@@ -363,8 +336,11 @@ def positivity_check(sym: Symbol, T: float = 1.0, time_samples: int = 17,
         if first_fail is None and bad.size:
             first_fail = Witness(t, nodes[bad[0]], rep, float(eigs[bad[0]]))
 
-    scanned, b = _scan(sym, T, time_samples, scan_two_L, "elliptic", visit,
-                       lambda b: (b >= 0 >= best, first_fail is not None or b >= 0))
+    def settle(b, lam):
+        conclusive = first_fail is not None or b >= 0
+        return conclusive and _unweighted_floor(b, sym.order, lam) >= best, conclusive
+
+    scanned, b = _scan(sym, T, time_samples, scan_two_L, "elliptic", visit, settle)
     if first_fail is not None:
         return EllipticityReport("failed", best, first_fail, scanned,
                                  tail="conclusive")
@@ -403,7 +379,7 @@ def strong_ellipticity_constant(sym: Symbol, T: float = 1.0,
             best_ex = min(best_ex, float(eigs[i]))
 
     scanned, b = _scan(sym, T, time_samples, scan_two_L, weight_kind, visit,
-                       lambda b: (b >= max(best, best_ex), best <= TOL or b > TOL),
+                       lambda b, lam: (b >= max(best, best_ex), best <= TOL or b > TOL),
                        lambda rep: _bands(rep, base, -m / 2.0)[1])
     tail = "conclusive" if best <= TOL or b > TOL else "scan-limited"
     if b > TOL:

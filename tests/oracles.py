@@ -288,8 +288,8 @@ def quantization_sum(sym, t, f):
 
 
 def quadrature_average(sym, t, rep):
-    """Reference for averaged_matrix: the base grid's quadrature of the
-    symbol over x."""
+    """Reference for Symbol.matrix of an x-dependent symbol: the base grid's
+    quadrature of the symbol over x."""
     w = sym.base_grid.weights()
     return sum(w[n] * sym.evaluator(t, n, rep) for n in range(len(w)))
 

@@ -11,7 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lie_diffuse.harmonic import SU2, TORUS1, RepIndex, random_field, save_field
+from lie_diffuse.evolve import EvolutionProblem, evolve
+from lie_diffuse.harmonic import (SU2, TORUS1, RepIndex, load_field, random_field,
+                                  save_field)
+from lie_diffuse.symbol import OperatorSpec, build_operator_symbol
 from lie_diffuse.wellposed import MAX_SCAN_TWO_L
 from lie_diffuse.cli import (
     ConfigError,
@@ -502,7 +505,7 @@ def test_check_deepens_an_exact_scan_only_to_the_cap(tmp_path):
 
 
 @pytest.mark.parametrize("spec", ["random abc", "random -1", "xi -2 0 0",
-                                  "random 1 2 3", "delta extra"])
+                                  "random 1 2 3", "delta extra", "xi 1 0", " "])
 def test_malformed_field_spec_exits_2(tmp_path, spec, capsys):
     with pytest.raises(ConfigError, match=re.escape(repr(spec))):
         parse_field_spec(spec, SU2, 4, seed=0)
@@ -510,6 +513,67 @@ def test_malformed_field_spec_exits_2(tmp_path, spec, capsys):
     assert main(["--config", cfg, "--command", "evolve",
                  "--out", str(tmp_path / "out")]) == 2
     assert repr(spec) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,command,cause", [
+    ([], "check", "config must be a JSON object"),
+    ({"group": "so3", "operator": "-1*bessel^2"}, "check", "unknown group 'so3'"),
+    ({"two_L": -1, "operator": "-1*bessel^2"}, "check",
+     "bandlimit must be nonnegative"),
+    ({"kind": "hyperbolic", "operator": "-1*bessel^2", "two_L": 2, "dt": 0.1},
+     "evolve", "norm kind must be elliptic or subelliptic"),
+    ({"time_order": 2, "coefficients": ["-1*laplace", "-1*laplace"],
+      "data": ["random 1", "random 2"], "two_L": 2, "dt": 0.1}, "reduce",
+     "coefficient a_1 declares order 2.0, which exceeds its slot order 1"),
+])
+def test_rejected_config_exits_2_naming_the_cause(tmp_path, config, command,
+                                                   cause, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), "--command", command,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert cause in capsys.readouterr().err
+
+
+def test_snapshot_of_another_bandlimit_exits_2(tmp_path, capsys):
+    snap = tmp_path / "u0.json"
+    save_field(snap, random_field(SU2, 2, seed=1))
+    cfg = write_config(tmp_path, operator="-1*bessel^2", u0=str(snap), two_L=4)
+    assert main(["--config", cfg, "--command", "evolve",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "field file group or bandlimit mismatch" in capsys.readouterr().err
+
+
+def test_unknown_command_is_a_config_error(tmp_path):
+    """main's argument parser admits only known commands; run_command
+    checks its own."""
+    with pytest.raises(ConfigError, match="unknown command 'solve'"):
+        run_command(RunConfig(), "solve", str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_naming_a_file_is_an_io_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, operator="-1*bessel^2", two_L=2)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["--config", cfg, "--command", "check", "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("io error: ")
+
+
+def test_evolve_forcing_takes_seed_plus_1(tmp_path):
+    """A plain random forcing is drawn with seed + 1, u0 with seed: the CLI's
+    final state is the library evolve's of those fields, bit for bit."""
+    conf = {"operator": "-1*laplace^1/2 + 0.3*X1", "two_L": 2, "u0": "random",
+            "forcing": "random", "seed": 7, "T": 0.1, "dt": 0.05}
+    code, out = run(tmp_path, conf, "evolve")
+    assert code == 0
+    sym = build_operator_symbol(OperatorSpec(SU2, 2, parse_operator(conf["operator"])))
+    problem = EvolutionProblem(sym, random_field(SU2, 2, seed=7),
+                               forcing=random_field(SU2, 2, seed=8), T=0.1)
+    trajectory, _ = evolve(problem, dt=0.05)
+    final = load_field(out / "snapshots" / "state_final.json")
+    assert all(np.array_equal(final[rep], trajectory[-1][rep])
+               for rep in trajectory[-1].coeffs)
 
 
 def test_reduce_reference_refuses_stiff_systems(tmp_path, monkeypatch, capsys):

@@ -20,6 +20,7 @@ from lie_diffuse.symbol import (OperatorSpec, OperatorTerm, apply_spectral,
 from lie_diffuse.evolve import (
     EvolutionProblem,
     SolverError,
+    energy_estimate_check,
     energy_identity_residual,
     evolve,
     sobolev_norm,
@@ -320,6 +321,13 @@ def test_energy_estimate_zero_operator():
     assert report.C == pytest.approx(1.0, abs=1e-12)
 
 
+def test_energy_estimate_of_the_zero_state():
+    """u0 = 0 with no forcing stays 0: C = 1, C' = 0, and the estimate
+    holds."""
+    zero = SpectralField.zeros(SU2, 2)
+    assert energy_estimate_check([zero] * 3, zero, None) == (1.0, 0.0, True)
+
+
 def test_energy_estimate_forced_pair_feasible():
     u0 = random_field(SU2, 4, seed=19)
     f = random_field(SU2, 4, seed=20)
@@ -338,6 +346,15 @@ def xdep_symbol(amp=0.4, two_L=2):
     coef = GridField(g, (1.0 + amp * np.cos(T)).ravel().astype(complex))
     return build_operator_symbol(
         OperatorSpec(SU2, two_L, [OperatorTerm("laplace", const=-1.0, space=coef)]))
+
+
+def test_evolve_rejects_exact_for_x_dependent():
+    """The driver refuses the exact scheme before any step: for a
+    t-independent x-dependent symbol its cached propagators would step the
+    x-average."""
+    problem = EvolutionProblem(xdep_symbol(), random_field(SU2, 2, seed=1), T=0.2)
+    with pytest.raises(ValueError, match="exact stepper needs an x-independent symbol"):
+        evolve(problem, scheme="exact", dt=0.1)
 
 
 def test_cn_xdep_solves_the_implicit_system():

@@ -21,7 +21,6 @@ from lie_diffuse.symbol import (
     OperatorTerm,
     Symbol,
     apply_spectral,
-    averaged_matrix,
     bessel_weight,
     build_operator_symbol,
     invariant_apply,
@@ -297,13 +296,15 @@ def test_torus_bare_evaluator_matches_structured():
 
 
 def test_averaged_matrix():
+    """The dense accessor of an x-dependent symbol is its x-average: each
+    spatial factor replaced by its mean, the base grid's quadrature."""
     g = quadrature_grid(SU2, 4)
     a_vals = fourier_inverse(random_field(SU2, 4, 12), g).values.real
     mean = float(np.sum(g.weights() * a_vals))
     spec = OperatorSpec(SU2, 4, [
         OperatorTerm("laplace", 1.0, const=-1.0, space=GridField(g, a_vals.astype(complex)))])
     sym = build_operator_symbol(spec)
-    got = averaged_matrix(sym, 0.0, su2(2))
+    got = sym.matrix(0.0, su2(2))
     assert np.abs(got - (-mean) * laplace_symbol(su2(2))).max() < 1e-10
     assert np.abs(got - quadrature_average(sym, 0.0, su2(2))).max() < 1e-12
 

@@ -19,7 +19,9 @@ from lie_diffuse.harmonic import (
 from lie_diffuse.symbol import (VECTOR_FIELDS, WEIGHT_KINDS, OperatorSpec, OperatorTerm,
                                 build_operator_symbol)
 from lie_diffuse.wellposed import (
+    SCAN_TWO_L,
     TOL,
+    _unweighted_floor,
     classify_problem,
     garding_order_bound,
     hermitian_part,
@@ -552,6 +554,44 @@ def test_scans_stop_once_the_bound_settles_them():
     assert (se.kind, se.tail, se.scanned["scan_two_L"]) == ("failed", "conclusive", 2)
     assert se.excluded_constant == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-15)
     assert positivity_check(half).scanned["scan_two_L"] == 0
+
+
+def test_positivity_settles_on_the_unweighted_floor():
+    """dense_symbol(False) is strictly positive with minimum 0.5 at two_ell
+    0.  Past two_ell 1 its weighted tail bound b is positive, and b W^m at
+    two_ell 2 already exceeds 0.5: the scan stops at depth 1 (it ran to
+    SCAN_TWO_L while settling needed b >= 0 >= the minimum) with the
+    report of a full-depth scan."""
+    sym = dense_symbol(False)
+    report = positivity_check(sym)
+    full = positivity_check(sym, scan_two_L=SCAN_TWO_L)
+    assert report.scanned["scan_two_L"] == 1
+    assert (report.kind, report.constant, report.witness, report.tail) == \
+        (full.kind, full.constant, full.witness, full.tail) == \
+        ("positive", 0.5, full.witness, "conclusive")
+
+
+@pytest.mark.parametrize("b,m,floor", [(2.0, 1.0, 6.0), (0.0, 1.0, 0.0),
+                                       (-2.0, 0.0, -2.0), (2.0, -1.0, 0.0),
+                                       (-2.0, -1.0, -2.0 / 3.0),
+                                       (-2.0, 1.0, -math.inf)])
+def test_unweighted_floor_cases(b, m, floor):
+    """inf over W >= 3 (lam = 8) of b W^m, for each sign of b and m."""
+    assert _unweighted_floor(b, m, 8.0) == pytest.approx(floor, rel=1e-15)
+
+
+def test_complex_coefficient_bounds_no_tail():
+    """A complex-valued spatial factor has no certified range, so
+    -(1 + 0.1i r(x))*bessel^1, positive and strongly elliptic at every
+    sample the scans take, reads scan-limited on both tails."""
+    g = quadrature_grid(SU2, 2)
+    r = fourier_inverse(random_field(SU2, 2, seed=4), g).values.real
+    sym = build_operator_symbol(OperatorSpec(SU2, 2, [OperatorTerm(
+        "bessel", 1.0, const=-1.0, space=GridField(g, 1.0 + 0.1j * r / np.abs(r).max()))]))
+    assert sym.coefficient_range(0) is None
+    pos, se = positivity_check(sym), strong_ellipticity_constant(sym)
+    assert (pos.kind, pos.tail) == ("positive", "scan-limited")
+    assert (se.kind, se.tail) == ("strongly_elliptic", "scan-limited")
 
 
 def test_certified_constant_is_the_bound_below_the_scan():

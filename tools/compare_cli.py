@@ -32,9 +32,11 @@ REDUCE = {"time_order": 2, "coefficients": ["-0.2*laplace^1/2", "-1*laplace"],
 
 # The varcoef-cn symbol -c(x) p(t) laplace^1/2 + 0.2*iX3 of perfbench, with
 # c = 1 + 0.3 Re(random field at two_L=4, seed 5) max-normalised and
-# p(t) = 1 + 0.5 sin 3t, stepped from a random u0 at two_L=10 to T=1 with
-# dt=0.05; the forcing, when asked for, is (1 + t) times a random field.
-# Writes the final state and the energy report to the output directory.
+# p(t) = 1 + 0.5 sin 3t (p = 1 without the profile, a t-independent symbol
+# whose x-average Symbol.matrix caches), stepped from a random u0 at
+# two_L=10 to T=1 with dt=0.05; the forcing, when asked for, is (1 + t)
+# times a random field.  Writes the final state and the energy report to
+# the output directory.
 LIBRARY = """
 import json, math, sys
 from pathlib import Path
@@ -51,7 +53,8 @@ r = fourier_inverse(random_field("su2", 4, 5), grid).values.real
 c = GridField(grid, 1.0 + 0.3 * r / np.abs(r).max())
 sym = build_operator_symbol(OperatorSpec("su2", 4, [
     OperatorTerm("laplace", exponent=0.5, const=-1.0, space=c,
-                 profile=lambda t: 1.0 + 0.5 * math.sin(3.0 * t)),
+                 profile=(lambda t: 1.0 + 0.5 * math.sin(3.0 * t))
+                 if cfg["profile"] else None),
     OperatorTerm("iX3", const=0.2)]))
 f = random_field("su2", 10, 6)
 forcing = (lambda t: (1.0 + t) * f) if cfg["forcing"] else None
@@ -123,8 +126,13 @@ CONFIGS = [
      {"group": "torus1", "operator": "-1*bessel^1 - 0.5*laplace", "two_L": 8,
       "u0": "random 20", "forcing": "random 21", "dt": 0.01, "s": -1.0}),
     ("transform-selftest", "transform-selftest", {"two_L": 24}),
-    ("varcoef-cn", "library", {"scheme": "cn", "forcing": False}),
-    ("varcoef-rk4-forced", "library", {"scheme": "rk4", "forcing": True}),
+    ("varcoef-cn", "library", {"scheme": "cn", "forcing": False, "profile": True}),
+    ("varcoef-rk4-forced", "library",
+     {"scheme": "rk4", "forcing": True, "profile": True}),
+    ("steady-varcoef-cn", "library",
+     {"scheme": "cn", "forcing": False, "profile": False}),
+    ("steady-varcoef-rk4", "library",
+     {"scheme": "rk4", "forcing": False, "profile": False}),
 ]
 
 _NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|NaN|-?Infinity|nan|-?inf")
